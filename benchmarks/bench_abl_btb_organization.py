@@ -6,23 +6,23 @@ monolithic design — the capacity/latency trade-off the BTB-research line
 (Kobayashi, PDede) navigates.
 """
 
-from common import instructions, run_once, workloads
+from common import instructions, run_grid, run_once, workloads
 
 from repro.sim.presets import baseline_config, two_level_btb_config
-from repro.sim.runner import run_workload
 
 WORKLOADS = ["gcc", "mysql", "verilator"]
 
 
 def test_ablation_btb_organization(benchmark):
     def run():
-        rows = []
-        for name in workloads(WORKLOADS):
-            n = instructions()
-            mono = run_workload(name, baseline_config(n), "mono-btb")
-            two = run_workload(name, two_level_btb_config(n), "two-level-btb")
-            rows.append((name, mono, two))
-        return rows
+        n = instructions()
+        grid = run_grid(
+            workloads(WORKLOADS),
+            {"mono-btb": baseline_config(n), "two-level-btb": two_level_btb_config(n)},
+        )
+        return [
+            (name, r["mono-btb"], r["two-level-btb"]) for name, r in grid.items()
+        ]
 
     rows = run_once(benchmark, run)
     print()

@@ -6,10 +6,9 @@ aggressively (more drops), a very high one degenerates toward baseline
 FDIP (few drops).
 """
 
-from common import instructions, run_once, workloads
+from common import instructions, run_grid, run_once, workloads
 
 from repro.sim.presets import udp_config
-from repro.sim.runner import run_workload
 
 WORKLOADS = ["xgboost", "gcc"]
 THRESHOLDS = [2, 4, 8, 16]
@@ -17,15 +16,18 @@ THRESHOLDS = [2, 4, 8, 16]
 
 def test_ablation_confidence_threshold(benchmark):
     def run():
+        configs = {
+            f"udp-t{threshold}": udp_config(
+                instructions(), confidence_threshold=threshold
+            )
+            for threshold in THRESHOLDS
+        }
+        grid = run_grid(workloads(WORKLOADS), configs)
         out = {}
-        for name in workloads(WORKLOADS):
+        for name, results in grid.items():
             rows = []
             for threshold in THRESHOLDS:
-                r = run_workload(
-                    name,
-                    udp_config(instructions(), confidence_threshold=threshold),
-                    f"udp-t{threshold}",
-                )
+                r = results[f"udp-t{threshold}"]
                 rows.append((threshold, r.ipc, r["udp_drop_off_path"],
                              r["udp_emit_off_path"]))
             out[name] = rows

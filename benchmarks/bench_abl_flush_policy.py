@@ -6,10 +6,9 @@ unuseful-ratio threshold).  Expected: the threshold changes flush counts
 monotonically; IPC differences stay modest.
 """
 
-from common import instructions, run_once, workloads
+from common import instructions, run_grid, run_once, workloads
 
 from repro.sim.presets import udp_config
-from repro.sim.runner import run_workload
 
 WORKLOADS = ["verilator", "xgboost"]
 RATIOS = [0.5, 0.75, 0.95]
@@ -17,15 +16,18 @@ RATIOS = [0.5, 0.75, 0.95]
 
 def test_ablation_flush_policy(benchmark):
     def run():
+        configs = {
+            f"udp-flush{ratio}": udp_config(
+                instructions(), flush_unuseful_ratio=ratio
+            )
+            for ratio in RATIOS
+        }
+        grid = run_grid(workloads(WORKLOADS), configs)
         out = {}
-        for name in workloads(WORKLOADS):
+        for name, results in grid.items():
             rows = []
             for ratio in RATIOS:
-                r = run_workload(
-                    name,
-                    udp_config(instructions(), flush_unuseful_ratio=ratio),
-                    f"udp-flush{ratio}",
-                )
+                r = results[f"udp-flush{ratio}"]
                 flushes = sum(
                     r[f"useful_set_flush_{size}"] for size in (1, 2, 4)
                 )

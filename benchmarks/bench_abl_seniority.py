@@ -6,24 +6,24 @@ both variants run; the seniority variant's learned set is the more
 selective one (fewer insertions per prefetch).
 """
 
-from common import instructions, run_once, workloads
+from common import instructions, run_grid, run_once, workloads
 
 from repro.sim.presets import baseline_config, udp_config
-from repro.sim.runner import run_workload
 
 WORKLOADS = ["xgboost", "mongodb", "gcc"]
 
 
 def test_ablation_seniority(benchmark):
     def run():
+        n = instructions()
+        configs = {
+            "baseline": baseline_config(n),
+            "udp": udp_config(n),
+            "udp-no-seniority": udp_config(n, use_seniority=False),
+        }
         rows = []
-        for name in workloads(WORKLOADS):
-            n = instructions()
-            base = run_workload(name, baseline_config(n), "baseline")
-            with_sen = run_workload(name, udp_config(n), "udp")
-            without = run_workload(
-                name, udp_config(n, use_seniority=False), "udp-no-seniority"
-            )
+        for name, r in run_grid(workloads(WORKLOADS), configs).items():
+            base, with_sen, without = r.values()
             rows.append(
                 (
                     name,

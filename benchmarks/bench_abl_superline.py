@@ -6,26 +6,26 @@ crash anything and changes the emitted-prefetch mix; on filter-pressure
 workloads the coalesced variant covers more candidates.
 """
 
-from common import instructions, run_once, workloads
+from common import instructions, run_grid, run_once, workloads
 
 from repro.sim.presets import baseline_config, udp_config
-from repro.sim.runner import run_workload
 
 WORKLOADS = ["gcc", "verilator", "xgboost"]
 
 
 def test_ablation_superline(benchmark):
     def run():
+        n = instructions()
+        configs = {
+            "baseline": baseline_config(n),
+            "udp": udp_config(n),
+            "udp-no-superline": udp_config(n, use_superlines=False),
+        }
         rows = []
-        for name in workloads(WORKLOADS):
-            n = instructions()
-            base = run_workload(name, baseline_config(n), "baseline")
-            with_sl = run_workload(name, udp_config(n), "udp")
-            without = run_workload(
-                name, udp_config(n, use_superlines=False), "udp-no-superline"
-            )
-            rows.append((name, base.ipc, with_sl.ipc, without.ipc,
-                         with_sl["udp_superline_emits"]))
+        for name, r in run_grid(workloads(WORKLOADS), configs).items():
+            with_sl = r["udp"]
+            rows.append((name, r["baseline"].ipc, with_sl.ipc,
+                         r["udp-no-superline"].ipc, with_sl["udp_superline_emits"]))
         return rows
 
     rows = run_once(benchmark, run)

@@ -6,23 +6,26 @@ composes with FDIP without catastrophic interaction and its metadata lives
 in software (storage_bytes far beyond any 8KB SRAM budget).
 """
 
-from common import instructions, run_once, workloads
+from common import instructions, run_grid, run_once, workloads
 
 from repro.prefetchers.swprefetch import build_for_program
+from repro.sim.engine import program_for
 from repro.sim.presets import baseline_config, sw_profile_config, udp_config
-from repro.sim.runner import program_for, run_workload
 
 WORKLOADS = ["gcc", "verilator"]
 
 
 def test_ablation_sw_profile(benchmark):
     def run():
+        n = instructions()
+        configs = {
+            "baseline": baseline_config(n),
+            "sw-profile": sw_profile_config(n),
+            "udp": udp_config(n),
+        }
         rows = []
-        for name in workloads(WORKLOADS):
-            n = instructions()
-            base = run_workload(name, baseline_config(n), "baseline")
-            sw = run_workload(name, sw_profile_config(n), "sw-profile")
-            udp = run_workload(name, udp_config(n), "udp")
+        for name, r in run_grid(workloads(WORKLOADS), configs).items():
+            base, sw, udp = r.values()
             profile = build_for_program(program_for(name), num_blocks=8_000)
             rows.append((name, base.ipc, sw.ipc, udp.ipc,
                          profile.num_triggers, profile.storage_bytes()))

@@ -5,22 +5,21 @@ Expected shape: on gating-heavy workloads UDP emits fewer prefetches and
 moves less DRAM traffic per kilo-instruction.
 """
 
-from common import instructions, run_once, workloads
+from common import instructions, run_grid, run_once, workloads
 
 from repro.sim.energy import efficiency_comparison, energy_report
 from repro.sim.presets import baseline_config, udp_config
-from repro.sim.runner import run_workload
 
 WORKLOADS = ["xgboost", "gcc", "mongodb"]
 
 
 def test_energy_efficiency(benchmark):
     def run():
+        n = instructions()
+        configs = {"baseline": baseline_config(n), "udp": udp_config(n)}
         rows = []
-        for name in workloads(WORKLOADS):
-            n = instructions()
-            base = run_workload(name, baseline_config(n), "baseline")
-            udp = run_workload(name, udp_config(n), "udp")
+        for name, r in run_grid(workloads(WORKLOADS), configs).items():
+            base, udp = r["baseline"], r["udp"]
             deltas = efficiency_comparison(base, udp)
             report = energy_report(udp)
             rows.append((name, deltas, report))

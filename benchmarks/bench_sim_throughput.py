@@ -6,16 +6,15 @@ cached engine), this script times raw :class:`Simulator` runs — the object
 of study is the simulator itself, so every run is built fresh and nothing
 touches the result cache.  For each preset it measures retired-KIPS
 (thousands of simulated instructions per wall-clock second) in three
-configurations: **compiled** — the runtime-built C kernels over the SoA
-buffers plus idle-cycle fast-forward — **fast** — the interpreted
-array-oriented SoA kernels plus fast-forward (``REPRO_NO_COMPILED``
-semantics) — and the **naive** oracle configuration — object-based
-structures and the one-cycle-at-a-time stepper (``REPRO_NO_VECTOR`` +
+configurations: **compiled** — the runtime-built C kernels over SoA
+buffers plus idle-cycle fast-forward — **fast** — the object oracle plus
+fast-forward (``REPRO_NO_COMPILED`` semantics) — and **naive** — the object
+oracle with the one-cycle-at-a-time stepper (``REPRO_NO_COMPILED`` +
 ``REPRO_NO_FASTFORWARD`` semantics).  The median over ``--reps``
 interleaved repetitions is reported (container wall-clock is noisy), and
 all modes are cross-checked for byte-identical ``measured_counters()``.
 On a compiler-less host the compiled mode silently falls back to the
-interpreted fast path; the row records ``compiled_enabled`` so a ~1.0x
+object fast path; the row records ``compiled_enabled`` so a ~1.0x
 compiled speedup is attributable.
 
 The committed reference results live in ``BENCH_throughput.json`` at the
@@ -58,16 +57,12 @@ def _run_once(
 ):
     """One fresh simulation; returns (simulator, wall seconds).
 
-    ``fast=True`` is the interpreted fast configuration (SoA vector kernels
-    + idle-cycle fast-forward); adding ``compiled=True`` swaps the hot
-    leaves for the runtime-built C kernels; ``fast=False`` is the pure
-    object oracle with the naive stepper, regardless of the ambient
-    ``REPRO_NO_*`` env.
+    ``fast`` turns on idle-cycle fast-forward and ``compiled`` swaps the
+    object oracle's structures for the runtime-built C kernels; the mode is
+    fixed regardless of the ambient ``REPRO_NO_*`` env.
     """
     config = PRESET_BUILDERS[preset](n, seed)
-    simulator = build_simulator(
-        workload, config, seed, vector=fast, compiled=compiled
-    )
+    simulator = build_simulator(workload, config, seed, compiled=compiled)
     simulator.fast_forward_enabled = fast
     started = time.perf_counter()
     simulator.run()

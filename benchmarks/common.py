@@ -24,6 +24,9 @@ from __future__ import annotations
 import os
 
 from repro.analysis import experiments
+from repro.common.config import SimConfig
+from repro.sim.engine import run_batch, spec_for
+from repro.sim.metrics import SimResult
 
 _MEMO: dict[tuple, object] = {}
 
@@ -51,14 +54,13 @@ def workloads(default: list[str]) -> list[str]:
 def _env_knobs() -> tuple[str, ...]:
     # Every env toggle that can change what a shared computation produces
     # must key the memo: the scaling knobs select the run set, and the
-    # mode gates (vector kernels, fast-forward, checkpoint reuse) change
+    # mode gates (fast-forward, checkpoint reuse, compiled kernels) change
     # wall-clock-derived fields that benchmark rows embed.  The engine's
     # disk cache keys runs by config content; this tuple guards only the
     # in-process memo.
     return (
         os.environ.get("REPRO_BENCH_SCALE", "1.0"),
         os.environ.get("REPRO_BENCH_WORKLOADS", ""),
-        os.environ.get("REPRO_NO_VECTOR", ""),
         os.environ.get("REPRO_NO_FASTFORWARD", ""),
         os.environ.get("REPRO_NO_CHECKPOINT", ""),
         os.environ.get("REPRO_NO_COMPILED", ""),
@@ -115,6 +117,24 @@ def get_fig13():
             workloads(experiments.ALL_WORKLOADS), instructions=instructions()
         ),
     )
+
+
+def run_grid(
+    names: list[str], configs: dict[str, SimConfig]
+) -> dict[str, dict[str, SimResult]]:
+    """Every (workload, labelled config) pair as one engine batch.
+
+    Returns ``result[workload][label]``.
+    """
+    specs = [
+        spec_for(name, config, label=label)
+        for name in names
+        for label, config in configs.items()
+    ]
+    out: dict[str, dict[str, SimResult]] = {name: {} for name in names}
+    for spec, result in zip(specs, run_batch(specs)):
+        out[spec.workload][spec.label] = result
+    return out
 
 
 def run_once(benchmark, fn):

@@ -7,7 +7,7 @@ unpredictable branch), then a simulation comparing FDIP with and without
 UDP on it.
 """
 
-from repro import SimConfig, UDPConfig, run_program
+from repro import RunSpec, SimConfig, UDPConfig, run_batch
 from repro.workloads import (
     BiasedBehavior,
     LoopBehavior,
@@ -66,8 +66,13 @@ def main() -> None:
     base_config = SimConfig(max_instructions=15_000, functional_warmup_blocks=2_000)
     udp_config = base_config.replace(udp=UDPConfig(enabled=True))
 
-    base = run_program(program, base_config, "custom", "baseline")
-    udp = run_program(program, udp_config, "custom", "udp")
+    # Explicit-program specs are simulated as given (no disk cache).
+    base, udp = run_batch(
+        [
+            RunSpec("custom", config, config.seed, label, program=program)
+            for config, label in ((base_config, "baseline"), (udp_config, "udp"))
+        ]
+    )
 
     for result in (base, udp):
         print(f"{result.config_name:10s} IPC={result.ipc:.3f} "

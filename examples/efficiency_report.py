@@ -6,7 +6,7 @@ Prints per-workload energy/traffic breakdowns for the FDIP baseline and
 UDP, using the first-order energy model in ``repro.sim.energy``.
 """
 
-from repro import baseline_config, run_workload, udp_config
+from repro import baseline_config, run_batch, spec_for, udp_config
 from repro.sim.energy import efficiency_comparison, energy_report
 
 WORKLOADS = ["xgboost", "gcc", "mongodb"]
@@ -14,9 +14,14 @@ INSTRUCTIONS = 20_000
 
 
 def main() -> None:
-    for workload in WORKLOADS:
-        base = run_workload(workload, baseline_config(INSTRUCTIONS), "baseline")
-        udp = run_workload(workload, udp_config(INSTRUCTIONS), "udp")
+    configs = {"baseline": baseline_config(INSTRUCTIONS), "udp": udp_config(INSTRUCTIONS)}
+    specs = [
+        spec_for(workload, config, label=label)
+        for workload in WORKLOADS
+        for label, config in configs.items()
+    ]
+    results = run_batch(specs)
+    for workload, base, udp in zip(WORKLOADS, results[0::2], results[1::2]):
         base_report = energy_report(base)
         udp_report = energy_report(udp)
         deltas = efficiency_comparison(base, udp)

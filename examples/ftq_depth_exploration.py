@@ -9,7 +9,7 @@ Run:
 
 import sys
 
-from repro import baseline_config, sweep_ftq_depths
+from repro import baseline_config, run_batch, spec_for
 
 DEPTHS = [8, 16, 24, 32, 48, 64, 96]
 
@@ -19,9 +19,12 @@ def main() -> None:
     instructions = int(sys.argv[2]) if len(sys.argv) > 2 else 20_000
 
     print(f"FTQ depth sweep: {workload}, {instructions} instructions/run\n")
-    results = sweep_ftq_depths(
-        workload, baseline_config(instructions), DEPTHS
-    )
+    base = baseline_config(instructions)
+    specs = [
+        spec_for(workload, base.with_ftq_depth(depth), label=f"ftq{depth}")
+        for depth in DEPTHS
+    ]
+    results = dict(zip(DEPTHS, run_batch(specs)))
     base_ipc = results[32].ipc
 
     print(f"{'depth':>5s} {'IPC':>7s} {'vs 32':>7s} {'timely':>7s} "

@@ -7,7 +7,7 @@ between the original predictable behaviour and coin flips every
 UFTQ-ATR-AUR, which the paper keeps always-on precisely for this case.
 """
 
-from repro import SimConfig, UFTQConfig, run_program
+from repro import RunSpec, SimConfig, UFTQConfig, run_batch
 from repro.workloads.phases import make_phased_program, phase_summary
 from repro.workloads.profiles import get_profile
 
@@ -29,8 +29,13 @@ def main() -> None:
     base_config = SimConfig(max_instructions=INSTRUCTIONS)
     uftq_config = base_config.replace(uftq=UFTQConfig(mode="atr-aur"))
 
-    base = run_program(program, base_config, WORKLOAD, "baseline")
-    uftq = run_program(program, uftq_config, WORKLOAD, "uftq-atr-aur")
+    runs = {"baseline": base_config, "uftq-atr-aur": uftq_config}
+    base, uftq = run_batch(
+        [
+            RunSpec(WORKLOAD, config, config.seed, label, program=program)
+            for label, config in runs.items()
+        ]
+    )
 
     for result in (base, uftq):
         print(f"{result.config_name:14s} IPC={result.ipc:.3f} "

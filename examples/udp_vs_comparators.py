@@ -20,7 +20,8 @@ from repro import (
     eip_config,
     geomean,
     infinite_storage_config,
-    run_workload,
+    run_batch,
+    spec_for,
     udp_config,
 )
 
@@ -31,21 +32,29 @@ def main() -> None:
     )
     instructions = int(sys.argv[2]) if len(sys.argv) > 2 else 20_000
 
-    techniques = {
+    configs = {
+        "baseline": baseline_config(instructions),
         "udp": udp_config(instructions),
         "infinite": infinite_storage_config(instructions),
         "icache-40k": bigger_icache_config(instructions),
         "eip-8k": eip_config(instructions),
     }
 
+    techniques = [name for name in configs if name != "baseline"]
+    # The whole (workload x config) grid goes out as one engine batch.
+    specs = [
+        spec_for(workload, config, label=name)
+        for workload in workloads
+        for name, config in configs.items()
+    ]
+    results = iter(run_batch(specs))
     ratios: dict[str, list[float]] = {name: [] for name in techniques}
     print(f"{'workload':10s} " + " ".join(f"{n:>11s}" for n in techniques))
     for workload in workloads:
-        base = run_workload(workload, baseline_config(instructions), "baseline")
+        base = next(results)
         cells = []
-        for name, config in techniques.items():
-            result = run_workload(workload, config, name)
-            ratio = result.ipc / base.ipc
+        for name in techniques:
+            ratio = next(results).ipc / base.ipc
             ratios[name].append(ratio)
             cells.append(f"{(ratio - 1) * 100:+10.1f}%")
         print(f"{workload:10s} " + " ".join(cells))

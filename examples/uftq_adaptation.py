@@ -7,33 +7,41 @@ final adapted depth, the controller's phase trajectory, and IPC versus the
 fixed-32 baseline and the exhaustive-search OPT.
 """
 
-from repro import (
-    baseline_config,
-    optimal_ftq_depth,
-    run_workload,
-    uftq_config,
-)
+from repro import baseline_config, run_batch, spec_for, uftq_config
 
 WORKLOADS = ["verilator", "mysql"]
 INSTRUCTIONS = 20_000
 SWEEP_DEPTHS = [8, 16, 32, 48, 64, 96]
+MODES = ("aur", "atr", "atr-aur")
 
 
 def main() -> None:
+    base_config = baseline_config(INSTRUCTIONS)
+    configs = {"baseline": base_config}
+    configs.update(
+        (f"ftq{depth}", base_config.with_ftq_depth(depth)) for depth in SWEEP_DEPTHS
+    )
+    configs.update((f"uftq-{mode}", uftq_config(mode, INSTRUCTIONS)) for mode in MODES)
+    # Baseline, the OPT depth sweep and the UFTQ runs: one engine batch.
+    specs = [
+        spec_for(workload, config, label=label)
+        for workload in WORKLOADS
+        for label, config in configs.items()
+    ]
+    results = {(s.workload, s.label): r for s, r in zip(specs, run_batch(specs))}
     for workload in WORKLOADS:
-        base = run_workload(workload, baseline_config(INSTRUCTIONS), "baseline")
-        best_depth, sweep = optimal_ftq_depth(
-            workload, baseline_config(INSTRUCTIONS), SWEEP_DEPTHS
+        base = results[workload, "baseline"]
+        # Exhaustive-search optimum depth (the paper's OPT oracle).
+        best_depth = max(
+            SWEEP_DEPTHS, key=lambda d: results[workload, f"ftq{d}"].ipc
         )
-        opt = sweep[best_depth]
+        opt = results[workload, f"ftq{best_depth}"]
         print(f"\n=== {workload} ===")
         print(f"baseline (FTQ=32): IPC {base.ipc:.3f}")
         print(f"OPT (FTQ={best_depth}):     IPC {opt.ipc:.3f} "
               f"({(opt.ipc / base.ipc - 1) * 100:+.1f}%)")
-        for mode in ("aur", "atr", "atr-aur"):
-            result = run_workload(
-                workload, uftq_config(mode, INSTRUCTIONS), f"uftq-{mode}"
-            )
+        for mode in MODES:
+            result = results[workload, f"uftq-{mode}"]
             print(
                 f"UFTQ-{mode.upper():8s} IPC {result.ipc:.3f} "
                 f"({(result.ipc / base.ipc - 1) * 100:+.1f}%), "

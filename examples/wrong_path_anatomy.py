@@ -8,15 +8,16 @@ prefetch split, and how useful the off-path prefetches turned out to be —
 the data behind the paper's three off-path-usefulness categories.
 """
 
-from repro import baseline_config, run_workload
+from repro import baseline_config, run_batch, spec_for
 
 WORKLOADS = ["verilator", "mysql", "mongodb", "xgboost"]
 INSTRUCTIONS = 20_000
 
 
 def main() -> None:
-    for workload in WORKLOADS:
-        r = run_workload(workload, baseline_config(INSTRUCTIONS), "baseline")
+    config = baseline_config(INSTRUCTIONS)
+    results = run_batch([spec_for(w, config, label="baseline") for w in WORKLOADS])
+    for workload, r in zip(WORKLOADS, results):
         total_useful = max(r["prefetch_useful"], 1)
         total_useless = r["prefetch_useless"]
         off_useful = r["prefetch_useful_off_path"]

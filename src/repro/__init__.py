@@ -3,21 +3,18 @@ Prefetching" (ISCA 2024).
 
 Public API tour::
 
-    from repro import baseline_config, udp_config, run_workload, SUITE
+    from repro import baseline_config, udp_config, run_batch, spec_for
 
-    base = run_workload("xgboost", baseline_config(max_instructions=20_000))
-    udp = run_workload("xgboost", udp_config(max_instructions=20_000))
+    base, udp = run_batch([
+        spec_for("xgboost", baseline_config(max_instructions=20_000), label="baseline"),
+        spec_for("xgboost", udp_config(max_instructions=20_000), label="udp"),
+    ])
     print(udp.ipc / base.ipc)   # UDP's IPC speedup over fixed-FTQ FDIP
 
-Batches (sweeps over workload x config x seed) go through the parallel
-experiment engine, which fans out over ``REPRO_JOBS`` processes and caches
-results on disk (see ``docs/running_experiments.md``)::
-
-    from repro import run_batch, spec_for
-
-    specs = [spec_for(w, baseline_config(20_000), label="base")
-             for w in ("xgboost", "gcc")]
-    base_x, base_gcc = run_batch(specs)
+Every run goes through the parallel experiment engine: ``run_batch`` fans a
+spec list out over ``REPRO_JOBS`` processes and caches results on disk (see
+``docs/running_experiments.md``), so build one list per sweep and submit it
+once.
 
 Layers (bottom-up):
 
@@ -28,7 +25,7 @@ Layers (bottom-up):
 * :mod:`repro.backend` — simplified OoO window with branch-resolution timing
 * :mod:`repro.core` — the paper's contributions: UDP and UFTQ
 * :mod:`repro.prefetchers` — stand-alone comparators (EIP, next-line)
-* :mod:`repro.sim` — the cycle loop, presets, run drivers, metrics
+* :mod:`repro.sim` — the cycle loop, presets, experiment engine, metrics
 * :mod:`repro.analysis` — one experiment function per paper figure/table
 """
 
@@ -41,6 +38,7 @@ from repro.sim.engine import (
     RunSpec,
     SpecFailure,
     default_cache,
+    program_for,
     run_batch,
     set_default_progress,
     spec_for,
@@ -58,13 +56,6 @@ from repro.sim.presets import (
     udp_config,
     uftq_config,
 )
-from repro.sim.runner import (
-    optimal_ftq_depth,
-    run_program,
-    run_suite,
-    run_workload,
-    sweep_ftq_depths,
-)
 from repro.sim.simulator import Simulator
 from repro.workloads.profiles import PAPER_TABLE3, SUITE, get_profile
 from repro.workloads.synth import synthesize
@@ -79,6 +70,7 @@ __all__ = [
     "RunSpec",
     "SpecFailure",
     "default_cache",
+    "program_for",
     "run_batch",
     "set_default_progress",
     "spec_for",
@@ -99,11 +91,6 @@ __all__ = [
     "shadow_btb_config",
     "udp_config",
     "uftq_config",
-    "optimal_ftq_depth",
-    "run_program",
-    "run_suite",
-    "run_workload",
-    "sweep_ftq_depths",
     "Simulator",
     "PAPER_TABLE3",
     "SUITE",

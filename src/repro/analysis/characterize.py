@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.analysis.tables import format_table
 from repro.sim.metrics import SimResult
 from repro.sim.presets import baseline_config
-from repro.sim.runner import program_for, run_workload
+from repro.sim.engine import program_for, run_batch, spec_for
 from repro.workloads.profiles import SUITE
 from repro.workloads.trace import trace_statistics
 
@@ -37,11 +37,14 @@ class WorkloadCharacter:
     @classmethod
     def measure(cls, name: str, instructions: int = 15_000, seed: int = 1
                 ) -> "WorkloadCharacter":
+        return characterize_suite([name], instructions, seed)[name]
+
+    @classmethod
+    def from_result(cls, name: str, result: SimResult, seed: int = 1
+                    ) -> "WorkloadCharacter":
+        """Combine a baseline run of ``name`` with its static trace stats."""
         program = program_for(name, seed)
         stats = trace_statistics(program, 6_000)
-        result: SimResult = run_workload(
-            name, baseline_config(instructions, seed), "characterize", seed
-        )
         return cls(
             name=name,
             footprint_kib=program.footprint_bytes / 1024.0,
@@ -57,10 +60,15 @@ class WorkloadCharacter:
 def characterize_suite(
     workloads: list[str] | None = None, instructions: int = 15_000, seed: int = 1
 ) -> dict[str, WorkloadCharacter]:
-    """Measure every suite workload."""
+    """Measure every suite workload (one batch of baseline runs)."""
     names = workloads if workloads is not None else [p.name for p in SUITE]
+    config = baseline_config(instructions, seed)
+    results = run_batch(
+        [spec_for(name, config, seed, "characterize") for name in names]
+    )
     return {
-        name: WorkloadCharacter.measure(name, instructions, seed) for name in names
+        name: WorkloadCharacter.from_result(name, result, seed)
+        for name, result in zip(names, results)
     }
 
 

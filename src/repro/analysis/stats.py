@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from repro.common.config import SimConfig
 from repro.common.stats import ci95_half_width, mean, stdev
 from repro.sim.metrics import SimResult
-from repro.sim.runner import run_workload
+from repro.sim.engine import run_batch, spec_for
 
 
 @dataclass
@@ -65,18 +65,22 @@ def multi_seed_speedup(
     technique: SimConfig,
     seeds: list[int],
 ) -> SpeedupStats:
-    """Run baseline and technique across ``seeds``; collect IPC ratios."""
+    """Run baseline and technique across ``seeds``; collect IPC ratios.
+
+    All ``2 * len(seeds)`` runs go through one :func:`run_batch` call.
+    """
     if not seeds:
         raise ValueError("need at least one seed")
-    ratios: list[float] = []
-    for seed in seeds:
-        base = run_workload(
-            workload, baseline.replace(seed=seed), "baseline", seed=seed
-        )
-        test = run_workload(
-            workload, technique.replace(seed=seed), "technique", seed=seed
-        )
-        ratios.append(test.ipc / base.ipc if base.ipc else 1.0)
+    specs = [
+        spec_for(workload, config.replace(seed=seed), seed, label)
+        for seed in seeds
+        for config, label in ((baseline, "baseline"), (technique, "technique"))
+    ]
+    results = run_batch(specs)
+    ratios = [
+        test.ipc / base.ipc if base.ipc else 1.0
+        for base, test in zip(results[0::2], results[1::2])
+    ]
     return SpeedupStats(workload, ratios)
 
 

@@ -76,7 +76,6 @@ class BackendCore:
         data_gen: DataAddressGenerator,
         counters: Counters,
         seed: int = 1,
-        vector: bool = False,
     ) -> None:
         self.config = config
         self.hierarchy = hierarchy
@@ -93,18 +92,11 @@ class BackendCore:
         # Called with (pc, on_path) for every retired instruction (UDP
         # Seniority-FTQ training).
         self.retire_hook = None
-        # How many RS entries the issue stage examines per cycle (the
-        # pseudo-out-of-order window).
-        self.issue_scan_window = 24
         self._dep_threshold = int(config.load_dependence_fraction * (1 << 32))
-        # Vector mode: precomputed load-dependence flags (install_dep_table)
-        # and issue-scan wake gating — _issue is provably a no-op strictly
-        # before _issue_wake, so the scan is skipped.  Oracle mode keeps
-        # _issue_wake at 0 (never gates) to stay the equivalence baseline.
-        self._vector = vector
-        self._dep_table: bytes | None = None
-        self._dep_len = 0
-        self._issue_wake = 0
+
+    # How many RS entries the issue stage examines per cycle (the
+    # pseudo-out-of-order window).
+    issue_scan_window = 24
 
     # -- dispatch -----------------------------------------------------------
 
@@ -130,18 +122,10 @@ class BackendCore:
             uop.addr = self.data_gen.next_address(pc)
         if op == OP_LOAD:
             self._last_load = uop
-        elif self._last_load is not None and (
-            self._dep_table[pc >> 2]
-            if self._dep_table is not None and (pc >> 2) < self._dep_len
-            else self._depends_on_load(pc)
-        ):
+        elif self._last_load is not None and self._depends_on_load(pc):
             uop.dep = self._last_load
         self.rob.append(uop)
         self.rs.append(uop)
-        if self._vector:
-            t = cycle + self.config.decode_to_execute_latency
-            if t < self._issue_wake:
-                self._issue_wake = t
         return uop
 
     def _depends_on_load(self, pc: int) -> bool:
@@ -151,26 +135,6 @@ class BackendCore:
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFF_FFFF_FFFF_FFFF
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFF_FFFF_FFFF_FFFF
         return ((x ^ (x >> 31)) & 0xFFFF_FFFF) < self._dep_threshold
-
-    def install_dep_table(self, code_end: int) -> None:
-        """Precompute the per-PC load-dependence flag for the whole program.
-
-        One vectorized splitmix64 sweep over every instruction address,
-        stored as a ``bytes`` table indexed by ``pc >> 2`` — bit-identical to
-        :meth:`_depends_on_load` (uint64 wrap-around equals the ``& mask``).
-        """
-        import numpy as np
-
-        u64 = np.uint64
-        with np.errstate(over="ignore"):
-            x = np.arange(0, code_end, 4, dtype=np.uint64)
-            x = (x ^ u64(self.seed)) + u64(0x9E3779B97F4A7C15)
-            x = (x ^ (x >> u64(30))) * u64(0xBF58476D1CE4E5B9)
-            x = (x ^ (x >> u64(27))) * u64(0x94D049BB133111EB)
-            x ^= x >> u64(31)
-        flags = (x & u64(0xFFFF_FFFF)) < u64(self._dep_threshold)
-        self._dep_table = flags.astype(np.uint8).tobytes()
-        self._dep_len = len(self._dep_table)
 
     # -- per-cycle step ------------------------------------------------------
 
@@ -220,34 +184,20 @@ class BackendCore:
                 # diverging branch (older, already complete) resolves.
                 self.counters.bump("wrong_path_retired")
 
-    # Wake sentinel: "no issue possible until a dispatch re-arms the gate".
-    _WAKE_IDLE = 1 << 60
-
     def _issue(self, cycle: int) -> None:
-        if cycle < self._issue_wake:
-            return  # provably a no-op (vector mode; oracle keeps wake at 0)
         rs = self.rs
         if not rs:
-            if self._vector:
-                self._issue_wake = self._WAKE_IDLE
             return
         cfg = self.config
         # RS entries are in dispatch order, so if the very first one has not
         # reached the execute stage yet, nothing younger can issue either.
         if cycle < rs[0].dispatch_cycle + cfg.decode_to_execute_latency and not rs[0].issued:
-            if self._vector:
-                self._issue_wake = rs[0].dispatch_cycle + cfg.decode_to_execute_latency
             return
         alu_slots = cfg.num_alu
         load_slots = cfg.num_load
         store_slots = cfg.num_store
         min_ready_offset = cfg.decode_to_execute_latency
         issued_any = False
-        # Min over every reason the scan could not issue this cycle; valid as
-        # the next wake only when nothing issued (entries beyond the scan
-        # window stay unscannable until an issue compacts the RS, and
-        # dispatch/squash lower/reset the gate).
-        wake = self._WAKE_IDLE
         scan = min(len(self.rs), self.issue_scan_window)
         for i in range(scan):
             uop = self.rs[i]
@@ -255,38 +205,24 @@ class BackendCore:
                 issued_any = True
                 continue
             if cycle < uop.dispatch_cycle + min_ready_offset:
-                t = uop.dispatch_cycle + min_ready_offset
-                if t < wake:
-                    wake = t
                 break  # younger entries are even later: stop scanning
             dep = uop.dep
             if dep is not None and (not dep.issued or dep.complete_cycle > cycle):
-                # True dependence: only this uop waits.  An unissued dep is an
-                # older RS entry whose own blocking reason is already in the
-                # min, so it contributes no candidate of its own.
-                if dep.issued and dep.complete_cycle < wake:
-                    wake = dep.complete_cycle
-                continue
+                continue  # true dependence: only this uop waits
             op = uop.op
             if op == OP_LOAD:
                 if load_slots == 0:
-                    if cycle + 1 < wake:
-                        wake = cycle + 1
                     continue
                 load_slots -= 1
                 uop.complete_cycle = cycle + self.hierarchy.load_latency(uop.addr)
             elif op == OP_STORE:
                 if store_slots == 0:
-                    if cycle + 1 < wake:
-                        wake = cycle + 1
                     continue
                 store_slots -= 1
                 self.hierarchy.store_access(uop.addr)
                 uop.complete_cycle = cycle + 1
             else:  # ALU or branch
                 if alu_slots == 0:
-                    if cycle + 1 < wake:
-                        wake = cycle + 1
                     continue
                 alu_slots -= 1
                 uop.complete_cycle = cycle + 1
@@ -296,10 +232,6 @@ class BackendCore:
             issued_any = True
         if issued_any:
             self.rs = [u for u in self.rs if not u.issued]
-            if self._vector:
-                self._issue_wake = cycle + 1
-        elif self._vector:
-            self._issue_wake = wake
 
     # -- idle-skip support -----------------------------------------------------
 
@@ -356,7 +288,6 @@ class BackendCore:
         before = len(self.rob)
         self.rob = deque(u for u in self.rob if u.seq <= branch_seq)
         self.rs = [u for u in self.rs if u.seq <= branch_seq]
-        self._issue_wake = 0  # RS compaction shifts the scan window: rescan
         squashed = before - len(self.rob)
         self.counters.bump("backend_squashed_uops", squashed)
         if self._last_load is not None and self._last_load.seq > branch_seq:
@@ -381,7 +312,7 @@ class BackendCoreC(BackendCore):
     """Backend with compiled dispatch/issue/retire kernels over ring arrays.
 
     Uop state lives in SoA ring arrays indexed by ``seq & cap_mask`` (the
-    interpreted ROB deque only appends, pops left, and truncates right, so
+    object ROB deque only appends, pops left, and truncates right, so
     the ROB is just the contiguous seq range ``[rob_head, next_seq)``).  The
     kernels defer everything that needs Python — memory latencies, resteer
     objects, retire hooks, counter bumps — into small per-call replay lists:
@@ -395,9 +326,12 @@ class BackendCoreC(BackendCore):
     * :class:`~repro.frontend.fetch_block.PendingResteer` objects stay in a
       Python dict keyed by seq; the kernel only tracks the firing cycle.
 
-    ``rob`` / ``rs`` are ``None`` here — any code that reaches for the
-    interpreted structures fails loudly (the simulator's dispatch loop has a
-    compiled batch variant).
+    The kernels also own two compiled-only shortcuts: the precomputed
+    load-dependence table (:meth:`install_dep_table`) and issue-scan wake
+    gating — ``be_issue`` is provably a no-op strictly before the wake cycle,
+    so the scan is skipped.  There are no ``rob`` / ``rs`` attributes — any
+    code that reaches for the object structures fails loudly (the
+    simulator's dispatch loop has a compiled batch variant).
     """
 
     def __init__(
@@ -407,7 +341,6 @@ class BackendCoreC(BackendCore):
         data_gen: DataAddressGenerator,
         counters: Counters,
         seed: int = 1,
-        vector: bool = True,
     ) -> None:
         import numpy as np
 
@@ -417,9 +350,13 @@ class BackendCoreC(BackendCore):
         kernels = cc.kernels()
         if kernels is None or not isinstance(data_gen, DataAddressGeneratorC):
             raise RuntimeError("compiled kernels unavailable")
-        super().__init__(config, hierarchy, data_gen, counters, seed, vector=True)
-        self.rob = None  # ROB/RS live in the ring arrays; fail loudly
-        self.rs = None
+        self.config = config
+        self.hierarchy = hierarchy
+        self.data_gen = data_gen
+        self.counters = counters
+        self.seed = seed
+        self.retire_hook = None
+        self._dep_threshold = int(config.load_dependence_fraction * (1 << 32))
         cap = 1
         while cap < config.rob_entries:
             cap *= 2
@@ -461,8 +398,7 @@ class BackendCoreC(BackendCore):
         bi[21] = 0  # issue_wake (oracle-equivalent initial gate)
         bi[22] = -1  # pending_resteer_cycle: none
         # bi[23]=pending_resteer_seq
-        bi[24] = self.__dict__.pop("retired_instructions")
-        bi[25] = self.__dict__.pop("retired_total")
+        # bi[24]=retired_instructions, bi[25]=retired_total
         # bi[26]/bi[27]: dep table pointer+len, bound by install_dep_table
         bi.view(np.uint64)[28] = seed & 0xFFFF_FFFF_FFFF_FFFF
         bi[29] = self._dep_threshold
@@ -486,39 +422,23 @@ class BackendCoreC(BackendCore):
         self._c_squashed_uops = counters.incrementer("backend_squashed_uops")
 
     # retired_instructions / retired_total live in the descriptor (the C
-    # retire kernel bumps them); the base __init__ assigns them before the
-    # descriptor exists, so the setters stash early writes in the instance
-    # dict and __init__ moves them into the descriptor.
+    # retire kernel bumps them).
 
     @property
     def retired_instructions(self) -> int:
-        bi = self.__dict__.get("_bi")
-        if bi is None:
-            return self.__dict__["retired_instructions"]
-        return int(bi[24])
+        return self._bmv[24]
 
     @retired_instructions.setter
     def retired_instructions(self, value: int) -> None:
-        bi = self.__dict__.get("_bi")
-        if bi is None:
-            self.__dict__["retired_instructions"] = value
-        else:
-            bi[24] = value
+        self._bmv[24] = value
 
     @property
     def retired_total(self) -> int:
-        bi = self.__dict__.get("_bi")
-        if bi is None:
-            return self.__dict__["retired_total"]
-        return int(bi[25])
+        return self._bmv[25]
 
     @retired_total.setter
     def retired_total(self, value: int) -> None:
-        bi = self.__dict__.get("_bi")
-        if bi is None:
-            self.__dict__["retired_total"] = value
-        else:
-            bi[25] = value
+        self._bmv[25] = value
 
     # -- dispatch -----------------------------------------------------------
 
@@ -561,12 +481,26 @@ class BackendCoreC(BackendCore):
         )
 
     def install_dep_table(self, code_end: int) -> None:
+        """Precompute the per-PC load-dependence flag for the whole program.
+
+        One vectorized splitmix64 sweep over every instruction address,
+        stored as a ``uint8`` table indexed by ``pc >> 2`` — bit-identical to
+        :meth:`BackendCore._depends_on_load` (uint64 wrap-around equals the
+        ``& mask``).
+        """
         import numpy as np
 
-        super().install_dep_table(code_end)
-        self._dep_view = np.frombuffer(self._dep_table, dtype=np.uint8)
-        self._bi[26] = self._dep_view.ctypes.data
-        self._bi[27] = self._dep_len
+        u64 = np.uint64
+        with np.errstate(over="ignore"):
+            x = np.arange(0, code_end, 4, dtype=np.uint64)
+            x = (x ^ u64(self.seed)) + u64(0x9E3779B97F4A7C15)
+            x = (x ^ (x >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+            x = (x ^ (x >> u64(27))) * u64(0x94D049BB133111EB)
+            x ^= x >> u64(31)
+        flags = (x & u64(0xFFFF_FFFF)) < u64(self._dep_threshold)
+        self._dep_table = flags.astype(np.uint8)  # owns bi[26]'s memory
+        self._bi[26] = self._dep_table.ctypes.data
+        self._bi[27] = len(self._dep_table)
 
     # -- per-cycle step ------------------------------------------------------
 
@@ -577,7 +511,7 @@ class BackendCoreC(BackendCore):
         resteer = self._resteers.pop(seq)
         if len(self._resteers) > 64:
             # Entries for branches whose single-slot pending event was
-            # overwritten before firing (same semantics as the interpreted
+            # overwritten before firing (same semantics as the object
             # path) can linger; retired seqs can never fire anymore.
             rob_head = self._bmv[10]
             for stale in [s for s in self._resteers if s < rob_head]:

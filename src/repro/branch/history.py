@@ -118,7 +118,7 @@ class GlobalHistoryC(GlobalHistory):
     array the TAGE descriptor points into, so the compiled predictor reads
     them without any Python round-trip.  ``checkpoint``/``restore`` keep the
     exact interpreted format ``(bits_int, tuple(folded))`` — warmup
-    checkpoints round-trip across all three modes.
+    checkpoints round-trip across both modes.
     """
 
     def __init__(self, max_length: int, foldings: list[tuple[int, int]]) -> None:

@@ -17,8 +17,7 @@ Drop-in compatible with :class:`~repro.branch.btb.BranchTargetBuffer`
 
 from __future__ import annotations
 
-from repro.branch.btb import BranchTargetBuffer, BranchTargetBufferVec, BTBEntry
-from repro.common.vector import resolve_vector
+from repro.branch.btb import BTBEntry, btb_class
 from repro.workloads.program import BranchKind
 
 
@@ -31,9 +30,9 @@ class TwoLevelBTB:
         l1_assoc: int = 4,
         l2_entries: int = 8192,
         l2_assoc: int = 8,
-        vector: bool | None = None,
+        compiled: bool | None = None,
     ) -> None:
-        cls = BranchTargetBufferVec if resolve_vector(vector) else BranchTargetBuffer
+        cls = btb_class(compiled)
         self.l1 = cls(l1_entries, l1_assoc)
         self.l2 = cls(l2_entries, l2_assoc)
         self.promotions = 0

@@ -34,7 +34,6 @@ from repro.analysis import experiments
 from repro.analysis.tables import format_table
 from repro.sim import engine
 from repro.sim.presets import PRESET_BUILDERS, apply_sampling
-from repro.sim.runner import program_for
 from repro.workloads.profiles import SUITE
 from repro.workloads.tracefile import record_trace
 
@@ -457,7 +456,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    program = program_for(args.workload, args.seed)
+    program = engine.program_for(args.workload, args.seed)
     instructions = record_trace(program, args.blocks, args.out)
     print(f"wrote {args.blocks} blocks ({instructions} instructions) to {args.out}")
     return 0
@@ -583,7 +582,7 @@ def cmd_bless_golden(args) -> int:
 def cmd_reuse(args) -> int:
     from repro.workloads.reuse import code_reuse_profile
 
-    program = program_for(args.workload, args.seed)
+    program = engine.program_for(args.workload, args.seed)
     profile = code_reuse_profile(program, num_blocks=args.blocks)
     print(f"{args.workload}: {profile.total_accesses} line accesses, "
           f"{profile.cold_accesses} cold, "

@@ -1,8 +1,8 @@
 """Runtime builder for the compiled hot-loop kernels.
 
-The SoA/vector pass (PR 7) proved that interpreted Python is the remaining
-hot-path ceiling: per-probe numpy is a pessimization at simulator table
-sizes, so the scalar leaves stayed memoryview/dict Python.  This module
+Interpreted Python is the hot-path ceiling, and numpy cannot lift it:
+per-probe numpy is a pessimization at simulator table sizes (a
+single-element ndarray probe costs ~50x a dict probe).  This module
 compiles the hand-written C kernels under ``repro/common/kernels/`` into a
 CPython extension module *on first use* with the system compiler, caches the
 built ``.so`` content-addressed under the shared artifact root (digest of
@@ -17,10 +17,9 @@ enough for per-probe kernels on top of the fat batch kernels.
 
 Fallback contract: when no compiler is present, compilation fails, or
 ``REPRO_NO_COMPILED=1`` is set, :func:`kernels` returns ``None`` and every
-call site silently stays on the interpreted SoA path (which, with the
-pure-object ``REPRO_NO_VECTOR`` path, remains the byte-identity oracle —
-``tests/sim/test_vector.py`` enforces identical counters across all three).
-No new Python dependencies are involved.
+factory silently returns the object oracle instead — the byte-identity
+reference that ``tests/sim/test_vector.py`` compares the compiled path
+against.  No new Python dependencies are involved.
 """
 
 from __future__ import annotations
@@ -134,8 +133,8 @@ def kernels():
     global _MODULE, _BUILD_ERROR
     if compiled_disabled():
         # Checked before the memo so the gate stays live for the whole
-        # process (mirrors REPRO_NO_VECTOR); an already-built module is
-        # simply not handed out while the env opts out.
+        # process; an already-built module is simply not handed out while
+        # the env opts out.
         return None
     if _MODULE is not False:
         return _MODULE

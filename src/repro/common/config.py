@@ -361,52 +361,6 @@ class TechniqueConfig:
         return get_technique(self.kind).capabilities
 
 
-class PrefetcherConfig:
-    """Deprecated flat prefetcher selection; use :class:`TechniqueConfig`.
-
-    Kept importable as a shim: constructing one maps the legacy flat fields
-    (``kind="eip"``, ``eip_storage_bytes=...``) onto the per-technique
-    params objects and returns a :class:`TechniqueConfig`, with a
-    ``DeprecationWarning``.  Cache keys changed shape with the redesign;
-    the engine's cache schema was bumped so old entries never alias (see
-    docs/running_experiments.md).
-    """
-
-    def __new__(
-        cls,
-        kind: str = "fdip",
-        standalone_only: bool = False,
-        sw_profile_blocks: int = 20_000,
-        eip_storage_bytes: int = 8 * 1024,
-        eip_entangles_per_entry: int = 2,
-        eip_wrong_path_aware: bool = False,
-    ) -> TechniqueConfig:
-        import warnings
-
-        warnings.warn(
-            "PrefetcherConfig is deprecated; use TechniqueConfig with a "
-            "per-technique params object (see docs/techniques.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        params: object | None = None
-        if kind == "eip":
-            from repro.prefetchers.eip import EIPParams
-
-            params = EIPParams(
-                storage_bytes=eip_storage_bytes,
-                targets_per_entry=eip_entangles_per_entry,
-                wrong_path_aware=eip_wrong_path_aware,
-            )
-        elif kind == "sw-profile":
-            from repro.prefetchers.swprefetch import SWProfileParams
-
-            params = SWProfileParams(profile_blocks=sw_profile_blocks)
-        return TechniqueConfig(
-            kind=kind, standalone_only=standalone_only, params=params
-        )
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Top-level simulation configuration (Table II defaults)."""

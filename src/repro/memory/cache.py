@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.common.cc import resolve_compiled
 from repro.common.config import CacheConfig
-from repro.common.vector import resolve_vector
 
 
 @dataclass(slots=True)
@@ -217,230 +217,25 @@ class SetAssocCache:
         self.load_lines(sets)
 
 
-# Bit positions of the packed per-line metadata in SetAssocCacheVec._flags.
+# Bit positions of the packed per-line metadata (checkpoint wire form and
+# SetAssocCacheC._flags).
 _PREFETCH = 1
 _OFF_PATH = 2
 _UDP = 4
 _DIRTY = 8
 
 
-class _VecLineRef:
-    """A reusable write-through view of one way in a :class:`SetAssocCacheVec`.
+class _CLineRef:
+    """A reusable write-through view of one way in a :class:`SetAssocCacheC`.
 
     Every ``lookup``/``install`` call site in the tree uses the returned line
     transiently (reads or flips flags before the next cache call), so a single
     proxy per cache is re-pointed at the probed way instead of allocating a
-    :class:`CacheLine` per access.  Attribute reads/writes go straight to the
-    packed ``_flags`` ndarray, so mutations are visible to later probes.
-    """
-
-    __slots__ = ("_flags", "_set", "_way", "line_addr")
-
-    def __init__(self, cache: "SetAssocCacheVec") -> None:
-        self._flags = cache._flags
-        self._set = 0
-        self._way = 0
-        self.line_addr = 0
-
-    def _bind(self, set_idx: int, way: int, line_addr: int) -> "_VecLineRef":
-        self._set = set_idx
-        self._way = way
-        self.line_addr = line_addr
-        return self
-
-    def _get(self, bit: int) -> bool:
-        return bool(self._flags[self._set, self._way] & bit)
-
-    def _put(self, bit: int, value: bool) -> None:
-        if value:
-            self._flags[self._set, self._way] |= bit
-        else:
-            self._flags[self._set, self._way] &= ~bit
-
-    @property
-    def prefetch_bit(self) -> bool:
-        return self._get(_PREFETCH)
-
-    @prefetch_bit.setter
-    def prefetch_bit(self, value: bool) -> None:
-        self._put(_PREFETCH, value)
-
-    @property
-    def prefetch_off_path(self) -> bool:
-        return self._get(_OFF_PATH)
-
-    @prefetch_off_path.setter
-    def prefetch_off_path(self, value: bool) -> None:
-        self._put(_OFF_PATH, value)
-
-    @property
-    def prefetch_udp_candidate(self) -> bool:
-        return self._get(_UDP)
-
-    @prefetch_udp_candidate.setter
-    def prefetch_udp_candidate(self, value: bool) -> None:
-        self._put(_UDP, value)
-
-    @property
-    def dirty(self) -> bool:
-        return self._get(_DIRTY)
-
-    @dirty.setter
-    def dirty(self, value: bool) -> None:
-        self._put(_DIRTY, value)
-
-
-class SetAssocCacheVec(SetAssocCache):
-    """Structure-of-arrays variant of :class:`SetAssocCache`.
-
-    Payload truth lives in two preallocated ``(num_sets, assoc)`` int64
-    ndarrays — line addresses and packed metadata flags — while each set keeps
-    an insertion-ordered dict mapping ``line_addr -> way`` for O(1) scalar
-    probes and LRU order (dict order is LRU -> MRU, exactly as in the oracle,
-    so replacement decisions are byte-identical).
-    """
-
-    def __init__(self, config: CacheConfig) -> None:
-        import numpy as np
-
-        super().__init__(config)
-        self._sets = []  # unused; the dict-of-objects storage is replaced
-        self._maps: list[dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        self._addrs = np.full((self.num_sets, self.assoc), -1, dtype=np.int64)
-        self._flags = np.zeros((self.num_sets, self.assoc), dtype=np.int64)
-        # Free ways per set, descending so pop() hands out way 0 first.
-        self._free: list[list[int]] = [
-            list(range(self.assoc - 1, -1, -1)) for _ in range(self.num_sets)
-        ]
-        self._ref = _VecLineRef(self)
-
-    def lookup(self, line_addr: int, touch: bool = True) -> _VecLineRef | None:
-        way_map = self._maps[(line_addr >> self.line_shift) & self._set_mask]
-        way = way_map.get(line_addr)
-        if way is None:
-            return None
-        if touch:
-            del way_map[line_addr]
-            way_map[line_addr] = way
-        return self._ref._bind((line_addr >> self.line_shift) & self._set_mask, way, line_addr)
-
-    def contains(self, line_addr: int) -> bool:
-        return line_addr in self._maps[(line_addr >> self.line_shift) & self._set_mask]
-
-    def install(
-        self,
-        line_addr: int,
-        prefetch: bool = False,
-        prefetch_off_path: bool = False,
-        prefetch_udp_candidate: bool = False,
-        dirty: bool = False,
-    ) -> _VecLineRef:
-        set_idx = (line_addr >> self.line_shift) & self._set_mask
-        way_map = self._maps[set_idx]
-        way = way_map.get(line_addr)
-        if way is not None:
-            del way_map[line_addr]
-            way_map[line_addr] = way
-            if dirty:
-                self._flags[set_idx, way] |= _DIRTY
-            return self._ref._bind(set_idx, way, line_addr)
-        free = self._free[set_idx]
-        if free:
-            way = free.pop()
-        else:
-            victim_addr = next(iter(way_map))
-            way = way_map.pop(victim_addr)
-            if self.eviction_hook is not None:
-                self.eviction_hook(self._materialize(set_idx, way, victim_addr))
-        self._addrs[set_idx, way] = line_addr
-        self._flags[set_idx, way] = (
-            (_PREFETCH if prefetch else 0)
-            | (_OFF_PATH if prefetch_off_path else 0)
-            | (_UDP if prefetch_udp_candidate else 0)
-            | (_DIRTY if dirty else 0)
-        )
-        way_map[line_addr] = way
-        return self._ref._bind(set_idx, way, line_addr)
-
-    def _materialize(self, set_idx: int, way: int, line_addr: int) -> CacheLine:
-        """A real CacheLine for the eviction hook (which may retain it)."""
-        flags = int(self._flags[set_idx, way])
-        return CacheLine(
-            line_addr,
-            prefetch_bit=bool(flags & _PREFETCH),
-            prefetch_off_path=bool(flags & _OFF_PATH),
-            prefetch_udp_candidate=bool(flags & _UDP),
-            dirty=bool(flags & _DIRTY),
-        )
-
-    def invalidate(self, line_addr: int) -> bool:
-        set_idx = (line_addr >> self.line_shift) & self._set_mask
-        way = self._maps[set_idx].pop(line_addr, None)
-        if way is None:
-            return False
-        self._addrs[set_idx, way] = -1
-        self._flags[set_idx, way] = 0
-        self._free[set_idx].append(way)
-        return True
-
-    @property
-    def occupancy(self) -> int:
-        return sum(len(m) for m in self._maps)
-
-    def resident_lines(self) -> list[int]:
-        out: list[int] = []
-        for way_map in self._maps:
-            out.extend(way_map.keys())
-        return out
-
-    def state_lines(self) -> list[list[tuple[int, bool, bool, bool, bool]]]:
-        out: list[list[tuple[int, bool, bool, bool, bool]]] = []
-        for set_idx, way_map in enumerate(self._maps):
-            flags_row = self._flags[set_idx]
-            out.append(
-                [
-                    (
-                        addr,
-                        bool(flags_row[way] & _PREFETCH),
-                        bool(flags_row[way] & _OFF_PATH),
-                        bool(flags_row[way] & _UDP),
-                        bool(flags_row[way] & _DIRTY),
-                    )
-                    for addr, way in way_map.items()
-                ]
-            )
-        return out
-
-    def load_lines(self, sets: list[list[tuple[int, bool, bool, bool, bool]]]) -> None:
-        if len(sets) != self.num_sets:
-            raise ValueError("cache geometry mismatch")
-        self._addrs[:] = -1
-        self._flags[:] = 0
-        for set_idx, lines in enumerate(sets):
-            way_map = self._maps[set_idx]
-            way_map.clear()
-            self._free[set_idx] = list(range(self.assoc - 1, -1, -1))
-            free = self._free[set_idx]
-            for addr, pf, off_path, udp, dirty in lines:
-                way = free.pop()
-                self._addrs[set_idx, way] = addr
-                self._flags[set_idx, way] = (
-                    (_PREFETCH if pf else 0)
-                    | (_OFF_PATH if off_path else 0)
-                    | (_UDP if udp else 0)
-                    | (_DIRTY if dirty else 0)
-                )
-                way_map[addr] = way
-
-
-class _CLineRef:
-    """A reusable write-through view of one way in a :class:`SetAssocCacheC`.
-
-    Same contract as :class:`_VecLineRef`, but addressed by the *flat* way
-    index the C kernels return (``set_idx * assoc + way``) over a 1-D
-    memoryview of the flags array — a memoryview scalar access returns a
-    plain int ~3x faster than an ndarray scalar, and these reads sit on the
-    L1I demand-hit path.
+    :class:`CacheLine` per access.  It is addressed by the *flat* way index
+    the C kernels return (``set_idx * assoc + way``) over a 1-D memoryview of
+    the flags array — a memoryview scalar access returns a plain int ~3x
+    faster than an ndarray scalar, and these reads sit on the L1I demand-hit
+    path.
     """
 
     __slots__ = ("_flags", "_gidx", "line_addr")
@@ -497,15 +292,16 @@ class _CLineRef:
         self._put(_DIRTY, value)
 
 
-class SetAssocCacheC(SetAssocCacheVec):
-    """Compiled-kernel variant: probes run in C over the SoA arrays.
+class SetAssocCacheC(SetAssocCache):
+    """Compiled-kernel variant: probes run in C over structure-of-arrays state.
 
-    Replacement switches from the Vec classes' insertion-ordered dicts to
-    monotonic LRU stamps, which select the same victim (every dict touch is
-    a move-to-end, so "first key" == "minimum stamp"); way indices for new
-    lines can differ from the Vec free-list order, but way identity is
-    invisible to behaviour and to the stamp-ordered serialization.  The
-    descriptor layout is ``CacheDesc`` in ``repro/common/kernels/kernels.h``.
+    Line addresses and packed metadata flags live in two preallocated
+    ``(num_sets, assoc)`` int64 ndarrays.  Replacement uses monotonic LRU
+    stamps, which select the same victim as the oracle's insertion-ordered
+    dicts (every dict touch is a move-to-end, so "first key" == "minimum
+    stamp"); way identity is invisible to behaviour and to the stamp-ordered
+    serialization.  The descriptor layout is ``CacheDesc`` in
+    ``repro/common/kernels/kernels.h``.
     """
 
     def __init__(self, config: CacheConfig) -> None:
@@ -513,14 +309,17 @@ class SetAssocCacheC(SetAssocCacheVec):
 
         from repro.common import cc
 
-        super().__init__(config)
         kernels = cc.kernels()
         if kernels is None:  # pragma: no cover - factory guards this
             raise RuntimeError("compiled kernels unavailable")
-        # The dict/free-list storage is replaced by stamp LRU; fail loudly
-        # if anything reaches for it.
-        self._maps = []
-        self._free = []
+        self.config = config
+        self.num_sets = config.num_sets
+        self.assoc = config.assoc
+        self.line_shift = config.line_bytes.bit_length() - 1
+        self._set_mask = self.num_sets - 1
+        self.eviction_hook: Callable[[CacheLine], None] | None = None
+        self._addrs = np.full((self.num_sets, self.assoc), -1, dtype=np.int64)
+        self._flags = np.zeros((self.num_sets, self.assoc), dtype=np.int64)
         self._stamps = np.zeros(self.num_sets * self.assoc, dtype=np.int64)
         self._addrs_flat = self._addrs.reshape(-1)
         self._flags_flat = self._flags.reshape(-1)
@@ -712,19 +511,12 @@ class SetAssocCacheC(SetAssocCacheVec):
         di[9] = -1
 
 
-def make_cache(
-    config: CacheConfig, vector: bool | None = None, compiled: bool | None = None
-) -> SetAssocCache:
-    """Build the SoA cache unless ``REPRO_NO_VECTOR`` selects the oracle.
+def make_cache(config: CacheConfig, compiled: bool | None = None) -> SetAssocCache:
+    """Build the compiled-kernel cache when available, else the object oracle.
 
-    On top of vector mode, the compiled-kernel cache is selected when the
-    runtime-built extension is available and ``REPRO_NO_COMPILED`` does not
-    opt out (see :mod:`repro.common.cc`).
+    The compiled cache is selected when the runtime-built extension loads and
+    ``REPRO_NO_COMPILED`` does not opt out (see :mod:`repro.common.cc`).
     """
-    if resolve_vector(vector):
-        from repro.common.cc import resolve_compiled
-
-        if resolve_compiled(compiled):
-            return SetAssocCacheC(config)
-        return SetAssocCacheVec(config)
+    if resolve_compiled(compiled):
+        return SetAssocCacheC(config)
     return SetAssocCache(config)

@@ -16,29 +16,30 @@ the backend.
 from __future__ import annotations
 
 from repro.common.addr import line_of
+from repro.common.cc import resolve_compiled
 from repro.common.config import MemoryConfig
 from repro.common.counters import Counters
-from repro.common.vector import resolve_vector
 from repro.memory.cache import make_cache
-from repro.memory.stream import StreamPrefetcher
+from repro.memory.stream import StreamPrefetcher, StreamPrefetcherC
 
 
 class MemoryHierarchy:
     """Shared L2/LLC/DRAM plus the private L1D."""
 
+    _stream_cls = StreamPrefetcher
+
     def __init__(
         self,
         config: MemoryConfig,
         counters: Counters | None = None,
-        vector: bool | None = None,
         compiled: bool | None = None,
     ) -> None:
         self.config = config
         self.counters = counters if counters is not None else Counters()
-        self.l1d = make_cache(config.l1d, vector, compiled)
-        self.l2 = make_cache(config.l2, vector, compiled)
-        self.llc = make_cache(config.llc, vector, compiled)
-        self.stream = StreamPrefetcher() if config.stream_prefetcher else None
+        self.l1d = make_cache(config.l1d, compiled)
+        self.l2 = make_cache(config.l2, compiled)
+        self.llc = make_cache(config.llc, compiled)
+        self.stream = self._stream_cls() if config.stream_prefetcher else None
         # Interned fast-path counter slots (see Counters.incrementer).
         counters = self.counters
         self._c_l2_ifetch_hits = counters.incrementer("l2_ifetch_hits")
@@ -129,31 +130,25 @@ class MemoryHierarchyC(MemoryHierarchy):
     ``hier_load`` / ``hier_store`` / ``hier_imiss`` walk L1D/L2/LLC, train
     the stream prefetcher, and install fill lines entirely in C, leaving
     per-call event counts in the descriptor; the wrappers replay those into
-    the interned counter slots, so totals are byte-identical to the
-    interpreted path.  When a counter *hook* is attached (tracers need every
+    the interned counter slots, so totals are byte-identical to the object
+    path.  When a counter *hook* is attached (tracers need every
     individual bump event in order), each call transparently falls back to
     the inherited per-probe methods — which operate on the same C-backed
     caches, so the two paths interleave safely.
     """
 
-    def __init__(
-        self,
-        config: MemoryConfig,
-        counters: Counters | None = None,
-        vector: bool | None = None,
-    ) -> None:
+    _stream_cls = StreamPrefetcherC
+
+    def __init__(self, config: MemoryConfig, counters: Counters | None = None) -> None:
         import numpy as np
 
         from repro.common import cc
         from repro.memory.cache import SetAssocCacheC
-        from repro.memory.stream import StreamPrefetcherC
 
-        super().__init__(config, counters, vector=vector, compiled=True)
+        super().__init__(config, counters, compiled=True)
         kernels = cc.kernels()
         if kernels is None or not isinstance(self.l1d, SetAssocCacheC):
             raise RuntimeError("compiled kernels unavailable")
-        if self.stream is not None:
-            self.stream = StreamPrefetcherC()
         hi = np.zeros(13, dtype=np.int64)
         hi[0] = self.l1d._desc
         hi[1] = self.l2._desc
@@ -225,12 +220,9 @@ class MemoryHierarchyC(MemoryHierarchy):
 def make_hierarchy(
     config: MemoryConfig,
     counters: Counters | None = None,
-    vector: bool | None = None,
     compiled: bool | None = None,
 ) -> MemoryHierarchy:
-    """Build the hierarchy, selecting the compiled fused path when available."""
-    from repro.common.cc import resolve_compiled
-
-    if resolve_vector(vector) and resolve_compiled(compiled):
-        return MemoryHierarchyC(config, counters, vector=vector)
-    return MemoryHierarchy(config, counters, vector=vector, compiled=compiled)
+    """Build the hierarchy: the compiled fused path when available, else the oracle."""
+    if resolve_compiled(compiled):
+        return MemoryHierarchyC(config, counters)
+    return MemoryHierarchy(config, counters, compiled=False)

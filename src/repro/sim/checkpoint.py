@@ -33,7 +33,7 @@ Restoration rules worth knowing when extending the simulator:
 * **all** predictor and cache state is serialized layout-neutrally and
   restored in place (``state_dict``/``load_state`` on TAGE/BTB/iBTB,
   ``state_packed``/``load_packed`` on the caches): a snapshot captured in
-  vector (SoA) mode restores into an object-mode simulator and vice versa,
+  compiled (SoA) mode restores into an object-mode simulator and vice versa,
   and no component object is ever swapped out from under the closures and
   hooks that alias it;
 * cache contents travel as packed per-set line arrays in LRU->MRU order
@@ -88,7 +88,7 @@ __all__ = [
 ]
 
 # Schema 2: layout-neutral predictor/cache serialization (state_dict /
-# state_lines) replacing pickled component objects, so vector-mode (SoA) and
+# state_lines) replacing pickled component objects, so SoA-layout and
 # object-mode simulators share checkpoints interchangeably.
 # Schema 3: warming fast-forward state — the stream data prefetcher's table
 # and the data-address generator's per-PC occurrence counters join the

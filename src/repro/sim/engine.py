@@ -40,10 +40,6 @@ per-interval counters back into a single :class:`SimResult` (with a
 ``sampling`` block carrying the per-interval IPCs and their CI).  Setting
 ``REPRO_NO_SAMPLING=1`` normalizes sampled specs back to full fidelity.
 
-The legacy drivers in :mod:`repro.sim.runner` (``run_program``,
-``run_workload``, ``run_suite``, ``sweep_ftq_depths``) are thin wrappers
-that build specs and submit them here, so they inherit all three layers.
-
 Result-cache keys cover the full configuration dataclass (which includes
 the instruction count), the profile name, the seed, and a fingerprint of
 the installed package source, so editing any simulator module invalidates

@@ -61,7 +61,6 @@ def build_simulator(
     workload: str,
     config: SimConfig,
     seed: int = 1,
-    vector: bool | None = None,
     compiled: bool | None = None,
 ) -> Simulator:
     """Construct a Simulator for one suite workload, bypassing the engine.
@@ -78,9 +77,7 @@ def build_simulator(
             config.core, load_dependence_fraction=prof.load_dependence_fraction
         )
         config = config.replace(core=core)
-    return Simulator(
-        program, config, data_profile=prof.data, vector=vector, compiled=compiled
-    )
+    return Simulator(program, config, data_profile=prof.data, compiled=compiled)
 
 
 @dataclass
@@ -111,9 +108,9 @@ class ProfileReport:
     instructions: int
     seed: int
     fast_forward: bool
-    # Active acceleration gates for this run: vector SoA kernels, idle-cycle
-    # fast-forward, warmup checkpoint reuse, interval sampling, and the
-    # runtime-compiled C kernels (each togglable via its REPRO_NO_* env var).
+    # Active acceleration gates for this run: idle-cycle fast-forward,
+    # warmup checkpoint reuse, interval sampling, and the runtime-compiled C
+    # kernels (each togglable via its REPRO_NO_* env var).
     gates: dict[str, bool]
     # Per-kernel dispatch counts from the compiled extension (empty when the
     # kernels are unavailable or gated off).
@@ -187,7 +184,6 @@ def profile_run(
     wall = time.perf_counter() - started
 
     gates = {
-        "vector": simulator.vector_enabled,
         "fast-forward": fast_forward,
         "checkpoint": not reuse_disabled(),
         "sampling": not sampling_disabled(),

@@ -62,8 +62,9 @@ def test_config_selects_organization():
 
 def test_simulation_with_two_level_btb():
     from repro.sim.presets import two_level_btb_config
-    from repro.sim.runner import run_workload
+    from repro.sim.engine import run_batch, spec_for
 
-    result = run_workload("mediawiki", two_level_btb_config(3_000), "2lvl")
+    config = two_level_btb_config(3_000)
+    (result,) = run_batch([spec_for("mediawiki", config, label="2lvl")])
     assert result.retired >= 3_000
     assert result["wrong_path_retired"] == 0

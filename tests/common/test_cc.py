@@ -2,8 +2,8 @@
 
 The compiled kernels are a pure wall-clock optimization, so the builder's
 contract is all about degradation: no compiler, a broken compiler, or
-``REPRO_NO_COMPILED=1`` must each leave every call site on the interpreted
-SoA path with identical results — never an error.
+``REPRO_NO_COMPILED=1`` must each leave every factory on the object oracle
+with identical results — never an error.
 """
 
 import sys
@@ -80,7 +80,7 @@ def test_broken_compiler_falls_back(monkeypatch, tmp_path):
 
 
 def test_broken_compiler_simulation_matches_interpreted(monkeypatch, tmp_path):
-    """compiled=True on a compiler-less host must silently run interpreted."""
+    """compiled=True on a compiler-less host must silently run the object oracle."""
     from repro.sim.presets import PRESET_BUILDERS
     from repro.sim.profile import build_simulator
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.presets import baseline_config, perfect_icache_config, udp_config
-from repro.sim.runner import run_workload
+from repro.sim.engine import run_batch, spec_for
 
 INSTRUCTIONS = 5_000
 WORKLOADS = ["mysql", "xgboost", "verilator"]
@@ -11,10 +11,9 @@ WORKLOADS = ["mysql", "xgboost", "verilator"]
 
 @pytest.fixture(scope="module")
 def results():
-    return {
-        name: run_workload(name, baseline_config(INSTRUCTIONS), "baseline")
-        for name in WORKLOADS
-    }
+    config = baseline_config(INSTRUCTIONS)
+    specs = [spec_for(name, config, label="baseline") for name in WORKLOADS]
+    return dict(zip(WORKLOADS, run_batch(specs)))
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
@@ -79,15 +78,17 @@ def test_demand_access_accounting(results, name):
 
 
 def test_perfect_icache_beats_baseline(results):
-    for name in WORKLOADS:
-        perfect = run_workload(name, perfect_icache_config(INSTRUCTIONS), "perfect")
+    config = perfect_icache_config(INSTRUCTIONS)
+    specs = [spec_for(name, config, label="perfect") for name in WORKLOADS]
+    for name, perfect in zip(WORKLOADS, run_batch(specs)):
         assert perfect.ipc >= results[name].ipc * 0.97
         assert perfect.icache_mpki == 0.0
 
 
 def test_udp_stays_within_sane_band(results):
-    for name in WORKLOADS:
-        udp = run_workload(name, udp_config(INSTRUCTIONS), "udp")
+    config = udp_config(INSTRUCTIONS)
+    specs = [spec_for(name, config, label="udp") for name in WORKLOADS]
+    for name, udp in zip(WORKLOADS, run_batch(specs)):
         assert udp.ipc > results[name].ipc * 0.7, f"UDP collapsed on {name}"
 
 

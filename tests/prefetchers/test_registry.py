@@ -4,12 +4,11 @@ from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 
-from repro.common.config import PrefetcherConfig, SimConfig, TechniqueConfig
+from repro.common.config import SimConfig, TechniqueConfig
 from repro.common.errors import ConfigError
 from repro.prefetchers import registry
 from repro.prefetchers.eip import EIPParams
 from repro.prefetchers.mana import MANAParams
-from repro.prefetchers.swprefetch import SWProfileParams
 from repro.sim.engine import ResultCache, spec_for
 
 
@@ -155,28 +154,3 @@ def test_cache_key_distinguishes_params_and_kinds():
     other = spec_for("gcc", SimConfig().with_prefetcher("shadow-btb"))
     keys = {cache.key_for(s) for s in (base, tweaked, other)}
     assert len(keys) == 3
-
-
-# -- legacy shim ----------------------------------------------------------------
-
-
-def test_prefetcher_config_shim_warns_and_maps_fields():
-    with pytest.deprecated_call():
-        legacy = PrefetcherConfig(
-            kind="eip", eip_storage_bytes=4096, eip_wrong_path_aware=True
-        )
-    assert isinstance(legacy, TechniqueConfig)
-    assert legacy.params == EIPParams(storage_bytes=4096, wrong_path_aware=True)
-
-
-def test_prefetcher_config_shim_maps_sw_profile():
-    with pytest.deprecated_call():
-        legacy = PrefetcherConfig(kind="sw-profile", sw_profile_blocks=5_000)
-    assert legacy.params == SWProfileParams(profile_blocks=5_000)
-
-
-def test_prefetcher_config_shim_validates_like_technique_config():
-    with pytest.deprecated_call():
-        legacy = PrefetcherConfig(kind="magic")
-    with pytest.raises(ConfigError):
-        legacy.validate()

@@ -14,7 +14,6 @@ from repro.sim import engine
 from repro.sim.engine import BatchStats, ResultCache, RunSpec, run_batch, spec_for
 from repro.sim.metrics import SimResult
 from repro.sim.presets import baseline_config
-from repro.sim.runner import run_workload
 from repro.workloads import micro
 
 FAST = baseline_config(max_instructions=2_000).replace(
@@ -147,14 +146,6 @@ def test_explicit_program_specs_run_but_do_not_cache(tmp_path):
     assert result.ipc > 0
     assert stats.simulated == 1
     assert cache.info().entries == 0
-
-
-def test_legacy_wrapper_matches_engine():
-    via_wrapper = run_workload("mediawiki", FAST, config_name="ftq32")
-    (via_engine,) = run_batch([spec_for("mediawiki", FAST, 1, "ftq32")])
-    assert json.dumps(via_wrapper.to_dict(), sort_keys=True) == json.dumps(
-        via_engine.to_dict(), sort_keys=True
-    )
 
 
 def test_simresult_dict_round_trip():

@@ -1,22 +1,29 @@
-"""SoA vector + compiled kernels: byte-identity with the object oracle.
+"""Compiled kernels: byte-identity with the object oracle.
 
-Style of ``tests/sim/test_fastforward.py``: the array-oriented kernels
-(SoA TAGE/BTB/cache state, the planned fetch-window walker, the precomputed
-dep-flag table, issue-scan wake gating) and the runtime-compiled C kernels
-layered on top of them must be pure wall-clock optimizations — for any
-(workload, preset) pair the final cycle count and every measured counter
-must match the object-based implementations exactly.  The object path stays
-in the tree (``REPRO_NO_VECTOR`` / ``vector=False``) precisely so it can
-serve as the oracle, and the interpreted SoA path is in turn the oracle for
-the compiled path (``REPRO_NO_COMPILED`` / ``compiled=False``).
+Style of ``tests/sim/test_fastforward.py``: the runtime-compiled C kernels
+over structure-of-arrays state (TAGE/BTB/iBTB/cache/backend, plus the
+compiled-only planned fetch-window walker, ``btb_first_hit``, the
+precomputed dep-flag table and issue-scan wake gating) must be pure
+wall-clock optimizations — for any (workload, preset) pair the final cycle
+count and every measured counter must match the object-based
+implementations exactly.  The object path stays in the tree
+(``REPRO_NO_COMPILED`` / ``compiled=False``) precisely so it can serve as
+the oracle.
 
-Checkpoints must also be layout-neutral: a warmup blob captured in any
-mode must restore into any mode and still reproduce the from-scratch
-counters (schema 2 serializes logical state, not object layout).
+Checkpoints must also be layout-neutral: a warmup blob captured in either
+mode must restore into either mode and still reproduce the oracle's
+from-scratch counters.
 """
 
 import pytest
 
+from repro.backend.core import BackendCore
+from repro.branch.btb import BranchTargetBuffer, IndirectTargetBuffer
+from repro.branch.history import GlobalHistory
+from repro.branch.tage import TagePredictor
+from repro.common import cc
+from repro.memory.cache import SetAssocCache
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim import checkpoint as ckpt
 from repro.sim.presets import PRESET_BUILDERS
 from repro.sim.profile import build_simulator
@@ -27,21 +34,13 @@ from repro.workloads.profiles import get_profile
 N = 4_000
 SEED = 1
 
-# The three execution modes, least to most accelerated.  "compiled" silently
-# degrades to "vector" on a compiler-less host, which keeps these identity
-# tests meaningful everywhere (they become vector-vs-vector there).
+# The two execution modes.  "compiled" silently degrades to "object" on a
+# compiler-less host, which keeps these identity tests meaningful everywhere
+# (they become object-vs-object there).
 _MODES = {
-    "object": dict(vector=False, compiled=False),
-    "vector": dict(vector=True, compiled=False),
-    "compiled": dict(vector=True, compiled=True),
+    "object": dict(compiled=False),
+    "compiled": dict(compiled=True),
 }
-
-
-def _run(workload: str, preset: str, n: int, vector: bool):
-    config = PRESET_BUILDERS[preset](n)
-    simulator = build_simulator(workload, config, vector=vector)
-    simulator.run()
-    return simulator
 
 
 def _run_mode(workload: str, preset: str, n: int, mode: str):
@@ -51,73 +50,88 @@ def _run_mode(workload: str, preset: str, n: int, mode: str):
     return simulator
 
 
+def _logical_state(sim) -> dict:
+    """Predictor and cache contents in the layout-neutral checkpoint format,
+    so SoA ndarrays and the object oracle's dicts compare directly."""
+    bpu = sim.bpu
+    tage = bpu.tage.state_dict()
+    return {
+        "history": bpu.history.checkpoint(),
+        "bimodal": bytes(tage.pop("base").table),
+        "tage": tage,
+        "btb": bpu.btb.state_dict(),
+        "ibtb": bpu.ibtb.state_dict(),
+        "l1i": sim.l1i.state_lines(),
+        "l1d": sim.hierarchy.l1d.state_lines(),
+        "l2": sim.hierarchy.l2.state_lines(),
+        "llc": sim.hierarchy.llc.state_lines(),
+    }
+
+
 @pytest.mark.parametrize("preset", sorted(PRESET_BUILDERS))
 def test_vector_counters_identical(preset):
-    vec = _run("gcc", preset, N, vector=True)
-    obj = _run("gcc", preset, N, vector=False)
+    # The compiled path's structure-of-arrays state must end the measured
+    # run holding exactly the oracle's predictor and cache contents, not
+    # merely producing the same counters.
+    vec = _run_mode("gcc", preset, N, "compiled")
+    obj = _run_mode("gcc", preset, N, "object")
     assert vec.cycle == obj.cycle
     assert vec.measured_counters() == obj.measured_counters()
+    assert _logical_state(vec) == _logical_state(obj)
 
 
 @pytest.mark.parametrize("workload", ["verilator", "xgboost"])
 def test_vector_counters_identical_stress_workloads(workload):
-    # The two pathological frontends from the paper, on the preset built to
-    # maximize icache-miss churn through the SoA cache arrays.
-    vec = _run(workload, "miss-heavy", N, vector=True)
-    obj = _run(workload, "miss-heavy", N, vector=False)
+    vec = _run_mode(workload, "miss-heavy", N, "compiled")
+    obj = _run_mode(workload, "miss-heavy", N, "object")
     assert vec.cycle == obj.cycle
     assert vec.measured_counters() == obj.measured_counters()
+    assert _logical_state(vec) == _logical_state(obj)
 
 
 @pytest.mark.parametrize("preset", sorted(PRESET_BUILDERS))
 def test_compiled_counters_identical(preset):
+    probes_before = cc.kernel_call_counts().get("btb_probe", 0)
     compiled = _run_mode("gcc", preset, N, "compiled")
-    vec = _run_mode("gcc", preset, N, "vector")
-    assert compiled.cycle == vec.cycle
-    assert compiled.measured_counters() == vec.measured_counters()
+    probes_after = cc.kernel_call_counts().get("btb_probe", 0)
+    obj = _run_mode("gcc", preset, N, "object")
+    assert compiled.cycle == obj.cycle
+    assert compiled.measured_counters() == obj.measured_counters()
+    if compiled.compiled_enabled:
+        # Every BTB organization, the two-level one included, probes
+        # through the compiled kernel.
+        assert probes_after > probes_before
 
 
 @pytest.mark.parametrize("workload", ["verilator", "xgboost"])
 def test_compiled_counters_identical_stress_workloads(workload):
+    # The two pathological frontends from the paper, on the preset built to
+    # maximize icache-miss churn through the SoA cache arrays.
     compiled = _run_mode(workload, "miss-heavy", N, "compiled")
-    vec = _run_mode(workload, "miss-heavy", N, "vector")
-    assert compiled.cycle == vec.cycle
-    assert compiled.measured_counters() == vec.measured_counters()
-
-
-def test_env_var_disables_vector(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-    config = PRESET_BUILDERS["baseline"](N)
-    simulator = build_simulator("gcc", config)
-    assert not simulator.vector_enabled
-
-
-def test_explicit_vector_flag_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-    config = PRESET_BUILDERS["baseline"](N)
-    simulator = build_simulator("gcc", config, vector=True)
-    assert simulator.vector_enabled
+    obj = _run_mode(workload, "miss-heavy", N, "object")
+    assert compiled.cycle == obj.cycle
+    assert compiled.measured_counters() == obj.measured_counters()
 
 
 def test_env_var_disables_compiled(monkeypatch):
-    # Unlike REPRO_NO_VECTOR, an explicit compiled=True does NOT override
-    # the env: compiled kernels may be unavailable for external reasons
-    # (no compiler), so graceful degradation is the contract throughout.
+    # An explicit compiled=True does NOT override the env: compiled kernels
+    # may be unavailable for external reasons (no compiler), so graceful
+    # degradation to the object oracle is the contract throughout.
     monkeypatch.setenv("REPRO_NO_COMPILED", "1")
     config = PRESET_BUILDERS["baseline"](N)
     simulator = build_simulator("gcc", config)
     assert not simulator.compiled_enabled
     forced = build_simulator("gcc", config, compiled=True)
     assert not forced.compiled_enabled
-
-
-def test_compiled_implies_vector():
-    # The compiled kernels operate on the SoA buffers, so a compiled
-    # simulator is necessarily a vector simulator.
-    config = PRESET_BUILDERS["baseline"](N)
-    simulator = build_simulator("gcc", config, vector=False, compiled=True)
-    assert not simulator.vector_enabled
-    assert not simulator.compiled_enabled
+    for sim in (simulator, forced):
+        assert type(sim.bpu.history) is GlobalHistory
+        assert type(sim.bpu.tage) is TagePredictor
+        assert type(sim.bpu.btb) is BranchTargetBuffer
+        assert type(sim.bpu.ibtb) is IndirectTargetBuffer
+        assert type(sim.l1i) is SetAssocCache
+        assert type(sim.hierarchy) is MemoryHierarchy
+        assert type(sim.hierarchy.l1d) is SetAssocCache
+        assert type(sim.backend) is BackendCore
 
 
 @pytest.mark.parametrize("capture_mode", sorted(_MODES))
@@ -126,7 +140,7 @@ def test_checkpoint_round_trips_across_modes(
     tmp_path, monkeypatch, capture_mode, restore_mode
 ):
     """A warmup blob is layout-neutral: any capture/restore mode combo must
-    reproduce the from-scratch counters of the restoring mode."""
+    reproduce the object oracle's from-scratch counters."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_NO_CHECKPOINT", raising=False)
     config = PRESET_BUILDERS["udp"](N, SEED)
@@ -146,7 +160,7 @@ def test_checkpoint_round_trips_across_modes(
     restored.run()
 
     scratch = Simulator(
-        program, config, data_profile=prof.data, **_MODES[restore_mode]
+        program, config, data_profile=prof.data, **_MODES["object"]
     )
     scratch.functional_warmup(config.functional_warmup_blocks)
     scratch.run()
@@ -162,7 +176,8 @@ def test_warm_fastforward_checkpoints_cross_modes(
 ):
     """Schema-3 state — the data caches filled by the warming replay, the
     stream prefetcher table, and the data generator's occurrence counters —
-    survives any capture/restore mode combo just like warmup state does."""
+    survives any capture/restore mode combo just like warmup state does,
+    matching the object oracle's from-scratch walk."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_NO_CHECKPOINT", raising=False)
     config = PRESET_BUILDERS["udp"](N, SEED).with_sampling(4, 500, 250)
@@ -184,7 +199,7 @@ def test_warm_fastforward_checkpoints_cross_modes(
     restored = fresh(restore_mode)
     ckpt.restore_warmup(restored, blob)
 
-    scratch = fresh(restore_mode)
+    scratch = fresh("object")
     scratch.functional_warmup(config.functional_warmup_blocks)
     scratch.fast_forward_to(target, warm=True)
 
