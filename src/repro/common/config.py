@@ -375,8 +375,6 @@ class SimConfig:
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     max_instructions: int = 50_000
     max_cycles: int = 5_000_000
-    # Timed warmup: cycle-accurate cycles excluded from measurement.
-    warmup_instructions: int = 0
     # Functional warmup: basic blocks walked at trace speed before timing,
     # training BTB/TAGE/iBTB/caches (the paper's 50M-instruction warmup,
     # scaled).  Applied automatically at the start of Simulator.run().
@@ -393,16 +391,9 @@ class SimConfig:
         self.prefetcher.validate()
         if self.max_instructions <= 0 or self.max_cycles <= 0:
             raise ConfigError("instruction and cycle limits must be positive")
-        if self.warmup_instructions < 0 or self.warmup_instructions >= self.max_instructions:
-            raise ConfigError("warmup must be in [0, max_instructions)")
         if self.functional_warmup_blocks < 0:
             raise ConfigError("functional warmup must be non-negative")
         self.sampling.validate(self.max_instructions)
-        if self.sampling.enabled and self.warmup_instructions > 0:
-            raise ConfigError(
-                "interval sampling carries its own detailed warmup; "
-                "warmup_instructions must be 0 when sampling is enabled"
-            )
 
     def replace(self, **kwargs) -> "SimConfig":
         """Return a copy with top-level fields replaced."""

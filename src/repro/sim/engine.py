@@ -37,8 +37,10 @@ see :mod:`repro.sim.sampling`) are expanded into one work unit per interval:
 each interval restores the nearest available checkpoint, fast-forwards the
 rest of the way, simulates its measured slice, and the engine merges the
 per-interval counters back into a single :class:`SimResult` (with a
-``sampling`` block carrying the per-interval IPCs and their CI).  Setting
-``REPRO_NO_SAMPLING=1`` normalizes sampled specs back to full fidelity.
+``sampling`` block carrying the per-interval IPCs and their CI).  A
+full-fidelity spec runs through the same executor as its single
+whole-region interval.  Setting ``REPRO_NO_SAMPLING=1`` normalizes sampled
+specs back to full fidelity.
 
 Result-cache keys cover the full configuration dataclass (which includes
 the instruction count), the profile name, the seed, and a fingerprint of
@@ -52,6 +54,7 @@ import dataclasses
 import heapq
 import itertools
 import json
+import math
 import os
 import signal
 import threading
@@ -154,20 +157,45 @@ def spec_for(
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_key_for(spec: RunSpec) -> str | None:
-    """The warmup checkpoint key of a spec, or ``None`` when not keyable.
+def _unit_checkpoint_keys(
+    spec: RunSpec, plan: IntervalPlan | None, earlier: bool = False
+) -> tuple[str | None, list[tuple[int, str]]]:
+    """A work unit's checkpoint keys: ``(warmup key, interval keys)``.
 
-    Explicit-program specs have no content digest, a zero-block warmup has
-    no state worth caching, and ``REPRO_NO_CHECKPOINT`` disables the layer.
+    The warmup key is ``None`` when the spec is not keyable: explicit-program
+    specs have no content digest, a zero-block warmup has no state worth
+    caching, and ``REPRO_NO_CHECKPOINT`` disables the layer.  The interval
+    keys are ``(ff_instructions, key)`` restore points, nearest first: the
+    unit's own fast-forward target, then (with ``earlier``) every earlier
+    interval's of the same spec.  A unit that does not fast-forward has
+    none.  A unit creates its warmup key and its own interval key (the head
+    of the list) when they are missing.
     """
-    if (
-        not spec.cacheable
-        or spec.config.functional_warmup_blocks <= 0
-        or not ckpt.checkpointing_enabled()
-    ):
-        return None
+    if not spec.cacheable or not ckpt.checkpointing_enabled():
+        return None, []
     program_key = ProgramStore().key_for(spec.workload, spec.seed)
-    return ckpt.checkpoint_key(program_key, spec.seed, spec.config)
+    warmup_key = (
+        ckpt.checkpoint_key(program_key, spec.seed, spec.config)
+        if spec.config.functional_warmup_blocks > 0
+        else None
+    )
+    ff = plan.ff_instructions if plan is not None else 0
+    targets = [ff] if ff > 0 else []
+    if targets and earlier:
+        plans = sampling.plan_intervals(spec.config)
+        targets += sorted(
+            (p.ff_instructions for p in plans if 0 < p.ff_instructions < ff),
+            reverse=True,
+        )
+    return warmup_key, [
+        (t, ckpt.interval_checkpoint_key(program_key, spec.seed, spec.config, t))
+        for t in targets
+    ]
+
+
+def _checkpoint_key_for(spec: RunSpec) -> str | None:
+    """The warmup checkpoint key of a spec, or ``None`` when not keyable."""
+    return _unit_checkpoint_keys(spec, None)[0]
 
 
 def _resolve_spec(spec: RunSpec):
@@ -192,71 +220,30 @@ def _resolve_spec(spec: RunSpec):
     return program, config, prof.data, source
 
 
-def _execute(spec: RunSpec) -> tuple[SimResult, float, dict]:
-    """Simulate one spec; returns (result, wall seconds, execution metadata).
+def _execute(
+    spec: RunSpec, plan: IntervalPlan
+) -> tuple[IntervalOutcome, float, dict]:
+    """Simulate one work unit: one interval of a spec (pool-worker task).
+
+    A full-fidelity spec is the single whole-region interval
+    (:func:`~repro.sim.sampling.full_plan`).  Pre-measurement state is
+    reached through the cheapest available route: restore this interval's
+    own mid-run checkpoint, else the nearest earlier interval's, else the
+    shared functional-warmup checkpoint, else a scratch warmup — then
+    :meth:`~repro.sim.simulator.Simulator.fast_forward_to` the remaining
+    distance (skipped when the plan does not fast-forward; a no-op when
+    the own checkpoint hit).  Whenever the fast-forward actually walked, the
+    reached state is captured under this interval's key so later runs (and
+    later intervals of this batch) start from it.  All routes land on
+    byte-identical state, so the measured counters never depend on which
+    checkpoints happened to exist.
 
     The metadata dict reports where the pre-measurement work came from:
     ``program_source`` is ``"memo"``/``"disk"``/``"built"``/``"inline"``,
-    ``checkpoint`` is ``"restored"``/``"created"``/``"off"``/``"none"``, and
-    ``warmup_seconds`` is the wall-clock spent restoring or re-creating the
-    functional warmup (contained in the total ``seconds``).
-    """
-    started = time.perf_counter()
-    meta = {"program_source": "inline", "checkpoint": "none", "warmup_seconds": 0.0}
-    program, config, data_profile, meta["program_source"] = _resolve_spec(spec)
-    simulator = Simulator(program, config, data_profile=data_profile)
-    if spec.program is None:
-        if not ckpt.checkpointing_enabled():
-            meta["checkpoint"] = "off"
-        else:
-            key = _checkpoint_key_for(spec)
-            if key is not None:
-                warmup_started = time.perf_counter()
-                store = ckpt.CheckpointStore()
-                blob = store.get(key)
-                if blob is not None:
-                    try:
-                        ckpt.restore_warmup(simulator, blob)
-                        meta["checkpoint"] = "restored"
-                    except ckpt.CheckpointError:
-                        # Corrupt/stale snapshot: rebuild from scratch on a
-                        # pristine simulator and overwrite the bad entry.
-                        blob = None
-                        simulator = Simulator(
-                            program, config, data_profile=data_profile
-                        )
-                if blob is None:
-                    simulator.functional_warmup(
-                        spec.config.functional_warmup_blocks
-                    )
-                    store.put(key, ckpt.capture_warmup(simulator))
-                    meta["checkpoint"] = "created"
-                meta["warmup_seconds"] = time.perf_counter() - warmup_started
-    simulator.run()
-    result = SimResult(
-        workload=spec.workload,
-        config_name=spec.label,
-        counters=simulator.measured_counters(),
-        avg_ftq_occupancy=simulator.ftq.average_occupancy,
-        final_ftq_depth=simulator.ftq.depth,
-    )
-    return result, time.perf_counter() - started, meta
-
-
-def _execute_interval(
-    spec: RunSpec, plan: IntervalPlan
-) -> tuple[IntervalOutcome, float, dict]:
-    """Simulate one sampling interval of a sampled spec (pool-worker task).
-
-    Pre-measurement state is reached through the cheapest available route:
-    restore this interval's own mid-run checkpoint, else the nearest earlier
-    interval's, else the shared functional-warmup checkpoint, else a scratch
-    warmup — then :meth:`~repro.sim.simulator.Simulator.fast_forward_to` the
-    remaining distance (a no-op when the own checkpoint hit).  Whenever the
-    fast-forward actually walked, the reached state is captured under this
-    interval's key so later runs (and later intervals of this batch) start
-    from it.  All routes land on byte-identical state, so the measured
-    counters never depend on which checkpoints happened to exist.
+    ``checkpoint`` is ``"restored"``/``"created"``/``"off"``/``"none"``,
+    ``warmup_seconds`` is the wall-clock spent reaching the measured region
+    (contained in the total seconds), and ``interval_restored`` /
+    ``interval_created`` flag the own interval checkpoint's reuse.
     """
     started = time.perf_counter()
     meta = {
@@ -275,76 +262,47 @@ def _execute_interval(
 
     simulator = fresh()
     warmup_started = time.perf_counter()
-    own_key: str | None = None
-    store: ckpt.CheckpointStore | None = None
-    use_checkpoints = spec.cacheable and ckpt.checkpointing_enabled()
     if not ckpt.checkpointing_enabled():
         meta["checkpoint"] = "off"
-    if use_checkpoints:
-        store = ckpt.CheckpointStore()
-        program_key = ProgramStore().key_for(spec.workload, spec.seed)
-        # Candidate restore points, nearest (largest fast-forward) first.
-        candidates: list[tuple[int, str]] = []
-        if plan.ff_instructions > 0:
-            own_key = ckpt.interval_checkpoint_key(
-                program_key, spec.seed, spec.config, plan.ff_instructions
-            )
-            earlier = [
-                p
-                for p in sampling.plan_intervals(spec.config)
-                if 0 < p.ff_instructions <= plan.ff_instructions
-            ]
-            for p in sorted(
-                earlier, key=lambda p: p.ff_instructions, reverse=True
-            ):
-                key = (
-                    own_key
-                    if p.ff_instructions == plan.ff_instructions
-                    else ckpt.interval_checkpoint_key(
-                        program_key, spec.seed, spec.config, p.ff_instructions
-                    )
-                )
-                candidates.append((p.ff_instructions, key))
-        if spec.config.functional_warmup_blocks > 0:
-            candidates.append(
-                (0, ckpt.checkpoint_key(program_key, spec.seed, spec.config))
-            )
-        restored_ff: int | None = None
-        for ff, key in candidates:
-            blob = store.get(key)
-            if blob is None:
-                continue
-            try:
-                ckpt.restore_warmup(simulator, blob)
-            except ckpt.CheckpointError:
-                simulator = fresh()
-                continue
-            restored_ff = ff
-            break
-        if restored_ff is None:
-            if spec.config.functional_warmup_blocks > 0:
-                simulator.functional_warmup(spec.config.functional_warmup_blocks)
-                store.put(
-                    ckpt.checkpoint_key(program_key, spec.seed, spec.config),
-                    ckpt.capture_warmup(simulator),
-                )
-                meta["checkpoint"] = "created"
-        else:
-            meta["checkpoint"] = "restored"
-            meta["interval_restored"] = restored_ff == plan.ff_instructions
-    elif spec.config.functional_warmup_blocks > 0:
-        simulator.functional_warmup(spec.config.functional_warmup_blocks)
-    # The warmup's true-path position survives in the checkpointed counters,
-    # so the absolute fast-forward target is recoverable after any restore.
-    warmup_walked = simulator.counters.snapshot().get(
-        "warmup_instructions_functional", 0
-    )
-    ff_blocks, ff_walked = simulator.fast_forward_to(
-        warmup_walked + plan.ff_instructions
-    )
-    if store is not None and own_key is not None and ff_walked > 0:
-        store.put(own_key, ckpt.capture_warmup(simulator))
-        meta["interval_created"] = True
+    warmup_blocks = spec.config.functional_warmup_blocks
+    warmup_key, interval_keys = _unit_checkpoint_keys(spec, plan, earlier=True)
+    candidates = interval_keys + ([(0, warmup_key)] if warmup_key else [])
+    store = ckpt.CheckpointStore() if candidates else None
+    restored_ff: int | None = None
+    for ff, key in candidates:
+        blob = store.get(key)
+        if blob is None:
+            continue
+        try:
+            ckpt.restore_warmup(simulator, blob)
+        except ckpt.CheckpointError:
+            # Corrupt/stale snapshot: fall back on a pristine simulator (a
+            # scratch warmup overwrites a bad warmup entry).
+            simulator = fresh()
+            continue
+        restored_ff = ff
+        break
+    if restored_ff is not None:
+        meta["checkpoint"] = "restored"
+        meta["interval_restored"] = restored_ff == plan.ff_instructions
+    elif warmup_blocks > 0:
+        simulator.functional_warmup(warmup_blocks)
+        if warmup_key is not None:
+            store.put(warmup_key, ckpt.capture_warmup(simulator))
+            meta["checkpoint"] = "created"
+    ff_blocks = ff_walked = 0
+    if plan.ff_instructions > 0:
+        # The warmup's true-path position survives in the checkpointed
+        # counters, so the absolute target is recoverable after any restore.
+        warmup_walked = simulator.counters.snapshot().get(
+            "warmup_instructions_functional", 0
+        )
+        ff_blocks, ff_walked = simulator.fast_forward_to(
+            warmup_walked + plan.ff_instructions
+        )
+        if interval_keys and ff_walked > 0:
+            store.put(interval_keys[0][1], ckpt.capture_warmup(simulator))
+            meta["interval_created"] = True
     meta["warmup_seconds"] = time.perf_counter() - warmup_started
     simulator.run_interval(
         plan.measure_instructions, detailed_warmup=plan.detailed_warmup
@@ -485,8 +443,11 @@ def resolve_unit_timeout(timeout: float | None = None) -> float | None:
         except ValueError:
             raise ValueError(f"{source}: timeout must be a number of seconds") from None
     timeout = float(timeout)
-    if timeout <= 0:
-        raise ValueError(f"{source}: timeout must be > 0 seconds, got {timeout}")
+    # NaN fails both comparisons; neither NaN nor inf can arm setitimer.
+    if not 0 < timeout < math.inf:
+        raise ValueError(
+            f"{source}: timeout must be > 0 and finite seconds, got {timeout}"
+        )
     return timeout
 
 
@@ -507,27 +468,26 @@ def resolve_failure_policy(policy: str | None = None) -> str:
     return policy
 
 
+def _env_seconds(name: str, default: float) -> float:
+    """A non-negative seconds knob from the environment.
+
+    Unset, non-numeric and non-finite values fall back to ``default``.
+    """
+    try:
+        value = float(os.environ.get(name, ""))
+    except ValueError:
+        return default
+    return max(0.0, value) if math.isfinite(value) else default
+
+
 def _retry_backoff() -> float:
     """Base delay of the exponential retry backoff (seconds)."""
-    env = os.environ.get(RETRY_BACKOFF_ENV, "").strip()
-    if not env:
-        return 0.25
-    try:
-        backoff = float(env)
-    except ValueError:
-        return 0.25
-    return max(0.0, backoff)
+    return _env_seconds(RETRY_BACKOFF_ENV, 0.25)
 
 
 def _timeout_grace() -> float:
     """Extra slack the parent-side timeout backstop grants a worker."""
-    env = os.environ.get(TIMEOUT_GRACE_ENV, "").strip()
-    if not env:
-        return 5.0
-    try:
-        return max(0.0, float(env))
-    except ValueError:
-        return 5.0
+    return _env_seconds(TIMEOUT_GRACE_ENV, 5.0)
 
 
 def _unit_tokens(spec: RunSpec, interval: int) -> list[str]:
@@ -578,15 +538,16 @@ def _run_unit(
 
     This is the single entry point both the serial loop and the pool
     workers submit, so retry/timeout/fault semantics are identical on
-    every path.  ``plan`` is ``None`` for a full-fidelity run.
+    every path.  ``plan`` is ``None`` for a full-fidelity run, which
+    executes as the single whole-region interval.
     """
     with _unit_alarm(timeout):
         faults.fire_unit_faults(
             _unit_tokens(spec, plan.index if plan is not None else -1)
         )
-        if plan is None:
-            return _execute(spec)
-        return _execute_interval(spec, plan)
+        return _execute(
+            spec, plan if plan is not None else sampling.full_plan(spec.config)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1112,7 +1073,17 @@ def run_batch(
             spec_extra_attempts.get(index, 0) + attempts_used
         )
         if interval < 0:
-            result, seconds, meta = payload
+            # A plain run's lone interval is the result as measured; going
+            # through merge_intervals would re-weight the FTQ occupancy.
+            outcome, seconds, meta = payload
+            spec = spec_list[index]
+            result = SimResult(
+                workload=spec.workload,
+                config_name=spec.label,
+                counters=outcome.counters,
+                avg_ftq_occupancy=outcome.avg_ftq_occupancy,
+                final_ftq_depth=outcome.final_ftq_depth,
+            )
             finish(index, result, seconds, meta)
             return
         bucket = interval_payloads.setdefault(index, [])
@@ -1331,22 +1302,12 @@ def _run_pool(
     """
     store = ckpt.CheckpointStore()
     create_keys: dict[tuple[int, int], list[str]] = {}
-    for index, interval in units:
-        spec = spec_list[index]
-        keys: list[str] = []
-        warmup_key = _checkpoint_key_for(spec)
-        if warmup_key is not None:
-            keys.append(warmup_key)
-        if interval >= 0 and spec.cacheable and ckpt.checkpointing_enabled():
-            plan = plan_for((index, interval))
-            if plan.ff_instructions > 0:
-                program_key = ProgramStore().key_for(spec.workload, spec.seed)
-                keys.append(
-                    ckpt.interval_checkpoint_key(
-                        program_key, spec.seed, spec.config, plan.ff_instructions
-                    )
-                )
-        create_keys[(index, interval)] = keys
+    for unit in units:
+        warmup_key, interval_keys = _unit_checkpoint_keys(
+            spec_list[unit[0]], plan_for(unit)
+        )
+        create_keys[unit] = [warmup_key] if warmup_key is not None else []
+        create_keys[unit] += [key for _, key in interval_keys]
 
     claimed: dict[str, tuple[int, int]] = {}
     parked: dict[str, list[tuple[int, int]]] = {}

@@ -16,6 +16,8 @@ This module is pure planning and aggregation:
 
 * :func:`plan_intervals` — the per-interval fast-forward targets, budgets,
   and derived RNG seeds for a sampled configuration;
+* :func:`full_plan` — the one whole-region interval that a full-fidelity
+  run executes through the same engine path;
 * :func:`merge_intervals` — sum per-interval measured counters into one
   :class:`~repro.sim.metrics.SimResult` carrying a ``sampling`` block with
   per-interval IPCs and their mean/CI (the reported sampling error);
@@ -53,6 +55,7 @@ __all__ = [
     "IntervalOutcome",
     "IntervalPlan",
     "escalate_sampling",
+    "full_plan",
     "merge_intervals",
     "plan_intervals",
     "sampling_disabled",
@@ -142,6 +145,21 @@ def plan_intervals(config: SimConfig) -> list[IntervalPlan]:
             )
         )
     return plans
+
+
+def full_plan(config: SimConfig) -> IntervalPlan:
+    """The single whole-region interval a full-fidelity run executes.
+
+    No fast-forward and no detailed warmup: all ``max_instructions`` are
+    measured with the base seed, which is exactly a plain run.
+    """
+    return IntervalPlan(
+        index=0,
+        ff_instructions=0,
+        detailed_warmup=0,
+        measure_instructions=config.max_instructions,
+        rng_seed=config.seed,
+    )
 
 
 def escalate_sampling(config: SimConfig) -> SimConfig | None:

@@ -384,29 +384,11 @@ class Simulator:
 
     def run(self, max_instructions: int | None = None) -> None:
         """Simulate until the retire target (or the cycle limit) is reached."""
-        target = (
+        self._run_loop(
             max_instructions
             if max_instructions is not None
             else self.config.max_instructions
         )
-        if not self._warmed and self.cycle == 0 and self.config.functional_warmup_blocks > 0:
-            self.functional_warmup(self.config.functional_warmup_blocks)
-        warmup = self.config.warmup_instructions
-        warmup_done = warmup == 0
-        while self.backend.retired_instructions < target:
-            if self.cycle >= self.config.max_cycles:
-                raise SimulationError(
-                    f"cycle limit {self.config.max_cycles} hit at "
-                    f"{self.backend.retired_instructions} retired instructions"
-                )
-            self.step()
-            if not warmup_done and self.backend.retired_instructions >= warmup:
-                self._warmup_baseline = self.counters.snapshot()
-                self._warmup_cycle = self.cycle
-                self._warmup_retired = self.backend.retired_instructions
-                warmup_done = True
-        self.counters.set("cycles", self.cycle)
-        self.counters.set("retired_instructions", self.backend.retired_instructions)
 
     def run_interval(
         self, measure_instructions: int, detailed_warmup: int = 0
@@ -418,17 +400,25 @@ class Simulator:
         fast-forward cannot reproduce), re-snapshots the warmup baseline,
         then simulates ``measure_instructions`` measured instructions.  Both
         budgets are *relative* to the instructions already retired, so the
-        method is resumable.  With no prologue the loop is exactly
-        :meth:`run`'s — one interval spanning the whole measured region is
-        byte-identical to a plain run.  :meth:`measured_counters` afterwards
-        reports the measured span only.
+        method is resumable.  With no prologue this is :meth:`run` — one
+        interval spanning the whole measured region is a plain run.
+        :meth:`measured_counters` afterwards reports the measured span only.
+        """
+        base_retired = self.backend.retired_instructions
+        self._run_loop(
+            base_retired + detailed_warmup + measure_instructions,
+            base_retired + detailed_warmup if detailed_warmup else None,
+        )
+
+    def _run_loop(self, target: int, warmup_target: int | None = None) -> None:
+        """Step until ``target`` instructions have retired in total.
+
+        Runs the configured functional warmup first if nothing warmed the
+        simulator yet.  On crossing ``warmup_target`` the warmup baseline
+        is re-snapshotted, so measurement starts there.
         """
         if not self._warmed and self.cycle == 0 and self.config.functional_warmup_blocks > 0:
             self.functional_warmup(self.config.functional_warmup_blocks)
-        base_retired = self.backend.retired_instructions
-        warmup_target = base_retired + detailed_warmup
-        target = warmup_target + measure_instructions
-        warmup_done = detailed_warmup == 0
         while self.backend.retired_instructions < target:
             if self.cycle >= self.config.max_cycles:
                 raise SimulationError(
@@ -436,11 +426,14 @@ class Simulator:
                     f"{self.backend.retired_instructions} retired instructions"
                 )
             self.step()
-            if not warmup_done and self.backend.retired_instructions >= warmup_target:
+            if (
+                warmup_target is not None
+                and self.backend.retired_instructions >= warmup_target
+            ):
                 self._warmup_baseline = self._meta_preserving_snapshot()
                 self._warmup_cycle = self.cycle
                 self._warmup_retired = self.backend.retired_instructions
-                warmup_done = True
+                warmup_target = None
         self.counters.set("cycles", self.cycle)
         self.counters.set("retired_instructions", self.backend.retired_instructions)
 

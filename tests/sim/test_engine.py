@@ -260,10 +260,10 @@ def test_cache_info_reports_per_class(tmp_path, monkeypatch):
 _REAL_EXECUTE = engine._execute
 
 
-def _exploding_execute(spec):
+def _exploding_execute(spec, plan):
     if spec.label == "boom":
         raise RuntimeError("injected leader failure")
-    return _REAL_EXECUTE(spec)
+    return _REAL_EXECUTE(spec, plan)
 
 
 def test_pool_leader_failure_releases_followers(monkeypatch):

@@ -1,9 +1,10 @@
 """Failure handling: retries, timeouts, broken-pool recovery, fault harness.
 
 Every test drives the engine through the public ``REPRO_FAULT`` harness (or
-a monkeypatched ``_execute``) rather than reaching into pool internals, so
-the scenarios here are exactly the ones an operator can reproduce from the
-shell.  ``REPRO_RETRY_BACKOFF=0`` keeps the retry paths fast.
+a monkeypatched ``_execute(spec, plan)``) rather than reaching into pool
+internals, so the scenarios here are exactly the ones an operator can
+reproduce from the shell.  ``REPRO_RETRY_BACKOFF=0`` keeps the retry paths
+fast.
 """
 
 import json
@@ -80,6 +81,30 @@ def test_resolver_validation(monkeypatch):
     monkeypatch.setenv(engine.UNIT_TIMEOUT_ENV, "soon")
     with pytest.raises(ValueError, match=engine.UNIT_TIMEOUT_ENV):
         engine.resolve_unit_timeout()
+    # Non-finite budgets would fail every unit inside setitimer.
+    for bad in ("nan", "inf", "-inf"):
+        monkeypatch.setenv(engine.UNIT_TIMEOUT_ENV, bad)
+        with pytest.raises(ValueError, match=engine.UNIT_TIMEOUT_ENV):
+            engine.resolve_unit_timeout()
+    monkeypatch.delenv(engine.UNIT_TIMEOUT_ENV)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="unit_timeout argument"):
+            engine.resolve_unit_timeout(bad)
+
+    # Backoff and grace fall back to their defaults on unusable values.
+    monkeypatch.delenv(engine.RETRY_BACKOFF_ENV, raising=False)
+    monkeypatch.delenv(engine.TIMEOUT_GRACE_ENV, raising=False)
+    assert engine._retry_backoff() == 0.25
+    assert engine._timeout_grace() == 5.0
+    for bad in ("nan", "inf", "-inf", "later"):
+        monkeypatch.setenv(engine.RETRY_BACKOFF_ENV, bad)
+        monkeypatch.setenv(engine.TIMEOUT_GRACE_ENV, bad)
+        assert engine._retry_backoff() == 0.25
+        assert engine._timeout_grace() == 5.0
+    monkeypatch.setenv(engine.RETRY_BACKOFF_ENV, "0.5")
+    monkeypatch.setenv(engine.TIMEOUT_GRACE_ENV, "-1")
+    assert engine._retry_backoff() == 0.5
+    assert engine._timeout_grace() == 0.0
 
     assert engine.resolve_failure_policy() == "raise"
     monkeypatch.setenv(engine.FAILURE_POLICY_ENV, "keep-going")
@@ -257,10 +282,10 @@ def test_crash_with_parked_followers_releases_them(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _slow_execute(spec):
+def _slow_execute(spec, plan):
     if spec.label == "slow":
         time.sleep(30)
-    return _REAL_EXECUTE(spec)
+    return _REAL_EXECUTE(spec, plan)
 
 
 _REAL_EXECUTE = engine._execute
@@ -339,7 +364,7 @@ def test_hard_hang_hits_parent_backstop(monkeypatch):
 
 def test_sampled_interval_failure_names_the_interval(monkeypatch):
     monkeypatch.setenv(faults.FAULT_ENV, "raise:samp#1")
-    sampled = FAST.replace(warmup_instructions=0).with_sampling(2, 100)
+    sampled = FAST.with_sampling(2, 100)
     specs = [
         spec_for("mediawiki", sampled, 1, "samp"),
         spec_for("mediawiki", FAST, 2, "plain"),

@@ -68,5 +68,43 @@ def test_counters_match_golden(preset):
     )
 
 
+def test_engine_reproduces_golden(tmp_path, monkeypatch):
+    """The engine path (``run_batch``) lands on the blessed counters too.
+
+    Two passes over a fresh artifact root: the first synthesizes the program
+    and creates the warmup checkpoints, the second restores every warmup.
+    Both must equal the fixture the direct simulator run is pinned to.
+    """
+    from repro.sim import checkpoint as ckpt
+    from repro.sim import engine
+    from repro.sim.engine import run_batch, spec_for
+
+    monkeypatch.setenv(engine.CACHE_DIR_ENV, str(tmp_path / "artifacts"))
+    monkeypatch.delenv(ckpt.NO_CHECKPOINT_ENV, raising=False)
+    expected = _load_fixture()["counters"]
+    presets = sorted(PRESET_BUILDERS)
+    specs = [
+        spec_for(
+            golden.WORKLOAD,
+            PRESET_BUILDERS[preset](golden.INSTRUCTIONS, golden.SEED),
+            golden.SEED,
+            preset,
+        )
+        for preset in presets
+    ]
+    for expect_restored in (False, True):
+        events = []
+        results = run_batch(specs, jobs=1, no_cache=True, progress=events.append)
+        for preset, result in zip(presets, results):
+            assert result.counters == expected[preset], (
+                f"{preset}: engine counters diverged from the blessed fixture"
+            )
+        checkpoints = {e.checkpoint for e in events}
+        if expect_restored:
+            assert checkpoints == {"restored"}
+        else:
+            assert "created" in checkpoints
+
+
 if __name__ == "__main__":
     print(f"wrote {golden.bless(FIXTURE)}")

@@ -62,13 +62,6 @@ def test_sampling_config_validation():
     SamplingConfig(2, 4_000, 1_000).validate(10_000)
 
 
-def test_sampling_rejects_timed_warmup():
-    config = FAST.replace(warmup_instructions=200).with_sampling(2, 100)
-    with pytest.raises(ConfigError, match="warmup_instructions"):
-        config.validate()
-    config.replace(warmup_instructions=0).validate()
-
-
 def test_with_and_without_sampling_round_trip():
     sampled = FAST.with_sampling(4, 100, 50)
     assert sampled.sampling == SamplingConfig(4, 100, 50)
