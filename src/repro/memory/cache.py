@@ -50,9 +50,6 @@ class SetAssocCache:
         # Called with the victim CacheLine on every eviction (utility tracking).
         self.eviction_hook: Callable[[CacheLine], None] | None = None
 
-    def _set_index(self, line_addr: int) -> int:
-        return (line_addr >> self.line_shift) & self._set_mask
-
     def lookup(self, line_addr: int, touch: bool = True) -> CacheLine | None:
         """Return the resident line or None; refreshes LRU when ``touch``."""
         way_set = self._sets[(line_addr >> self.line_shift) & self._set_mask]
@@ -112,69 +109,35 @@ class SetAssocCache:
         return sum(len(s) for s in self._sets)
 
     def resident_lines(self) -> list[int]:
-        """All resident line addresses (test/diagnostic helper)."""
-        out: list[int] = []
-        for way_set in self._sets:
-            out.extend(way_set.keys())
-        return out
+        """All resident line addresses, set-major (test/diagnostic helper)."""
+        import numpy as np
 
-    # -- layout-neutral (de)serialization -------------------------------------
+        return np.frombuffer(self.state_packed()["addrs"], dtype=np.int64).tolist()
 
-    def state_lines(self) -> list[list[tuple[int, bool, bool, bool, bool]]]:
-        """Per-set resident lines in LRU->MRU order (checkpoint format)."""
-        return [
-            [
-                (
-                    line.line_addr,
-                    line.prefetch_bit,
-                    line.prefetch_off_path,
-                    line.prefetch_udp_candidate,
-                    line.dirty,
-                )
-                for line in way_set.values()
-            ]
-            for way_set in self._sets
-        ]
-
-    def load_lines(self, sets: list[list[tuple[int, bool, bool, bool, bool]]]) -> None:
-        """Restore contents from :meth:`state_lines` output, in place."""
-        if len(sets) != self.num_sets:
-            raise ValueError("cache geometry mismatch")
-        for way_set, lines in zip(self._sets, sets):
-            way_set.clear()
-            for addr, pf, off_path, udp, dirty in lines:
-                way_set[addr] = CacheLine(
-                    addr,
-                    prefetch_bit=pf,
-                    prefetch_off_path=off_path,
-                    prefetch_udp_candidate=udp,
-                    dirty=dirty,
-                )
+    # -- checkpoint state ------------------------------------------------------
 
     def state_packed(self) -> dict[str, bytes]:
         """Contents as three packed arrays (the checkpoint wire form).
 
-        Same information as :meth:`state_lines` — per-set resident lines in
-        LRU->MRU order — but flattened into parallel buffers: a ``uint16``
-        line count per set, then ``int64`` addresses and ``uint8`` metadata
-        flags in set-major order.  Pickling these is a memcpy, where the
-        nested tuple form built one Python object per line; interval
-        sampling serializes every cache once per interval, which made that
-        allocation churn a measurable share of sampled wall-clock.
+        Per-set resident lines in LRU->MRU order, flattened into parallel
+        buffers: a ``uint16`` line count per set, then ``int64`` addresses
+        and ``uint8`` metadata flags in set-major order.  Both cache layouts
+        emit identical bytes for identical contents, so a snapshot restores
+        into either.  Pickling these is a memcpy; interval sampling
+        serializes every cache once per interval.
         """
         import numpy as np
 
-        sets = self.state_lines()
-        counts = np.array([len(lines) for lines in sets], dtype=np.uint16)
-        flat = [line for lines in sets for line in lines]
-        addrs = np.array([t[0] for t in flat], dtype=np.int64)
+        lines = [line for way_set in self._sets for line in way_set.values()]
+        counts = np.array([len(way_set) for way_set in self._sets], dtype=np.uint16)
+        addrs = np.array([line.line_addr for line in lines], dtype=np.int64)
         flags = np.array(
             [
-                (_PREFETCH if t[1] else 0)
-                | (_OFF_PATH if t[2] else 0)
-                | (_UDP if t[3] else 0)
-                | (_DIRTY if t[4] else 0)
-                for t in flat
+                (_PREFETCH if line.prefetch_bit else 0)
+                | (_OFF_PATH if line.prefetch_off_path else 0)
+                | (_UDP if line.prefetch_udp_candidate else 0)
+                | (_DIRTY if line.dirty else 0)
+                for line in lines
             ],
             dtype=np.uint8,
         )
@@ -186,35 +149,15 @@ class SetAssocCache:
 
     def load_packed(self, state: dict[str, bytes]) -> None:
         """Restore contents from :meth:`state_packed` output, in place."""
-        import numpy as np
-
-        counts = np.frombuffer(state["counts"], dtype=np.uint16)
-        addrs = np.frombuffer(state["addrs"], dtype=np.int64).tolist()
-        flags = np.frombuffer(state["flags"], dtype=np.uint8).tolist()
-        if (
-            len(counts) != self.num_sets
-            or int(counts.max(initial=0)) > self.assoc
-            or int(counts.sum()) != len(addrs)
-            or len(flags) != len(addrs)
-        ):
-            raise ValueError("cache geometry mismatch")
-        sets = []
+        counts, addrs, flags = _unpack(state, self.num_sets, self.assoc)
+        addrs = addrs.tolist()
+        flags = flags.tolist()
         pos = 0
-        for n in counts.tolist():
-            sets.append(
-                [
-                    (
-                        addrs[i],
-                        bool(flags[i] & _PREFETCH),
-                        bool(flags[i] & _OFF_PATH),
-                        bool(flags[i] & _UDP),
-                        bool(flags[i] & _DIRTY),
-                    )
-                    for i in range(pos, pos + n)
-                ]
-            )
+        for way_set, n in zip(self._sets, counts.tolist()):
+            way_set.clear()
+            for i in range(pos, pos + n):
+                way_set[addrs[i]] = _line_from_flags(addrs[i], flags[i])
             pos += n
-        self.load_lines(sets)
 
 
 # Bit positions of the packed per-line metadata (checkpoint wire form and
@@ -223,6 +166,38 @@ _PREFETCH = 1
 _OFF_PATH = 2
 _UDP = 4
 _DIRTY = 8
+
+
+def _line_from_flags(line_addr: int, flags: int) -> CacheLine:
+    """A :class:`CacheLine` from its address and packed metadata flags."""
+    return CacheLine(
+        line_addr,
+        prefetch_bit=bool(flags & _PREFETCH),
+        prefetch_off_path=bool(flags & _OFF_PATH),
+        prefetch_udp_candidate=bool(flags & _UDP),
+        dirty=bool(flags & _DIRTY),
+    )
+
+
+def _unpack(state: dict[str, bytes], num_sets: int, assoc: int):
+    """Decode and validate a :meth:`SetAssocCache.state_packed` snapshot.
+
+    Returns ``(counts, addrs, flags)`` ndarrays; raises ValueError when the
+    snapshot does not fit a ``num_sets`` x ``assoc`` cache.
+    """
+    import numpy as np
+
+    counts = np.frombuffer(state["counts"], dtype=np.uint16).astype(np.int64)
+    addrs = np.frombuffer(state["addrs"], dtype=np.int64)
+    flags = np.frombuffer(state["flags"], dtype=np.uint8)
+    if (
+        len(counts) != num_sets
+        or int(counts.max(initial=0)) > assoc
+        or int(counts.sum()) != len(addrs)
+        or len(flags) != len(addrs)
+    ):
+        raise ValueError("cache geometry mismatch")
+    return counts, addrs, flags
 
 
 class _CLineRef:
@@ -368,19 +343,10 @@ class SetAssocCacheC(SetAssocCache):
         if self.eviction_hook is not None:
             victim_addr = self._dmv[9]
             if victim_addr >= 0:
-                victim_flags = self._dmv[10]
                 # Fired after the install rather than before it, which is
                 # equivalent: the hook only touches counters/UDP state, never
                 # the cache (see Simulator._on_l1i_eviction).
-                self.eviction_hook(
-                    CacheLine(
-                        victim_addr,
-                        prefetch_bit=bool(victim_flags & _PREFETCH),
-                        prefetch_off_path=bool(victim_flags & _OFF_PATH),
-                        prefetch_udp_candidate=bool(victim_flags & _UDP),
-                        dirty=bool(victim_flags & _DIRTY),
-                    )
-                )
+                self.eviction_hook(_line_from_flags(victim_addr, self._dmv[10]))
         return self._ref._bind(gidx, line_addr)
 
     def invalidate(self, line_addr: int) -> bool:
@@ -390,81 +356,14 @@ class SetAssocCacheC(SetAssocCache):
     def occupancy(self) -> int:
         return int(self._dmv[8])
 
-    def _iter_sets(self):
-        """Per set, the resident flat way indices in LRU->MRU (stamp) order."""
-        addrs = self._addrs_flat
-        stamps = self._stamps
-        assoc = self.assoc
-        for base in range(0, self.num_sets * assoc, assoc):
-            yield [
-                gidx
-                for _, gidx in sorted(
-                    (int(stamps[base + w]), base + w)
-                    for w in range(assoc)
-                    if addrs[base + w] != -1
-                )
-            ]
-
-    def resident_lines(self) -> list[int]:
-        addrs = self._addrs_flat
-        out: list[int] = []
-        for ways in self._iter_sets():
-            out.extend(int(addrs[g]) for g in ways)
-        return out
-
-    def state_lines(self) -> list[list[tuple[int, bool, bool, bool, bool]]]:
-        addrs = self._addrs_flat
-        flags = self._flags_flat
-        return [
-            [
-                (
-                    int(addrs[g]),
-                    bool(flags[g] & _PREFETCH),
-                    bool(flags[g] & _OFF_PATH),
-                    bool(flags[g] & _UDP),
-                    bool(flags[g] & _DIRTY),
-                )
-                for g in ways
-            ]
-            for ways in self._iter_sets()
-        ]
-
-    def load_lines(self, sets: list[list[tuple[int, bool, bool, bool, bool]]]) -> None:
-        if len(sets) != self.num_sets:
-            raise ValueError("cache geometry mismatch")
-        self._addrs[:] = -1
-        self._flags[:] = 0
-        self._stamps[:] = 0
-        di = self._di
-        stamp = int(di[7])
-        occupancy = 0
-        for set_idx, lines in enumerate(sets):
-            base = set_idx * self.assoc
-            for way, (addr, pf, off_path, udp, dirty) in enumerate(lines):
-                gidx = base + way
-                self._addrs_flat[gidx] = addr
-                self._flags_flat[gidx] = (
-                    (_PREFETCH if pf else 0)
-                    | (_OFF_PATH if off_path else 0)
-                    | (_UDP if udp else 0)
-                    | (_DIRTY if dirty else 0)
-                )
-                stamp += 1
-                self._stamps[gidx] = stamp
-            occupancy += len(lines)
-        di[7] = stamp
-        di[8] = occupancy
-        di[9] = -1
-
     def state_packed(self) -> dict[str, bytes]:
         import numpy as np
 
         resident = self._addrs != -1
         counts = resident.sum(axis=1)
         stamps = self._stamps.reshape(self.num_sets, self.assoc)
-        # Stamp order with empty ways sorted last; the stable sort breaks
-        # stamp ties by way index, exactly like the (stamp, gidx) sort of
-        # ``_iter_sets``.
+        # Stamp order (LRU->MRU) with empty ways sorted last; the stable
+        # sort breaks stamp ties by way index.
         key = np.where(resident, stamps, np.iinfo(np.int64).max)
         order = np.argsort(key, axis=1, kind="stable")
         gidx = order + np.arange(self.num_sets, dtype=np.int64)[:, None] * self.assoc
@@ -479,17 +378,8 @@ class SetAssocCacheC(SetAssocCache):
     def load_packed(self, state: dict[str, bytes]) -> None:
         import numpy as np
 
-        counts = np.frombuffer(state["counts"], dtype=np.uint16).astype(np.int64)
-        addrs = np.frombuffer(state["addrs"], dtype=np.int64)
-        flags = np.frombuffer(state["flags"], dtype=np.uint8)
-        total = int(counts.sum())
-        if (
-            len(counts) != self.num_sets
-            or int(counts.max(initial=0)) > self.assoc
-            or total != len(addrs)
-            or len(flags) != len(addrs)
-        ):
-            raise ValueError("cache geometry mismatch")
+        counts, addrs, flags = _unpack(state, self.num_sets, self.assoc)
+        total = len(addrs)
         self._addrs[:] = -1
         self._flags[:] = 0
         self._stamps[:] = 0
@@ -502,8 +392,8 @@ class SetAssocCacheC(SetAssocCache):
             flat = sets_rep * self.assoc + ways
             self._addrs_flat[flat] = addrs
             self._flags_flat[flat] = flags
-            # Stamps count up in set-major LRU->MRU order, matching the
-            # sequential assignment of ``load_lines``.
+            # Stamps count up in set-major LRU->MRU order, so the next
+            # ``state_packed`` emits the lines in the order they arrived.
             self._stamps[flat] = stamp + 1 + np.arange(total, dtype=np.int64)
             stamp += total
         di[7] = stamp

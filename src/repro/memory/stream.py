@@ -79,7 +79,8 @@ class StreamPrefetcher:
 
         Streams are listed in table order — victim selection scans for the
         first LRU minimum and compacts the list, so ordering is part of the
-        state, exactly like cache set order in ``state_lines``.
+        state, exactly like the LRU->MRU line order of a cache's
+        ``state_packed``.
         """
         return {
             "streams": [

@@ -87,9 +87,10 @@ __all__ = [
     "warmup_config_subset",
 ]
 
-# Schema 2: layout-neutral predictor/cache serialization (state_dict /
-# state_lines) replacing pickled component objects, so SoA-layout and
-# object-mode simulators share checkpoints interchangeably.
+# Schema 2: layout-neutral predictor/cache serialization (predictor
+# ``state_dict`` plus per-set cache line lists) replacing pickled component
+# objects, so SoA-layout and object-mode simulators share checkpoints
+# interchangeably.
 # Schema 3: warming fast-forward state — the stream data prefetcher's table
 # and the data-address generator's per-PC occurrence counters join the
 # snapshot (both mutated by the data-side replay of

@@ -75,10 +75,15 @@ from typing import Callable, Iterable, Sequence
 from repro.common import faults
 from repro.common.artifacts import (
     CACHE_DIR_ENV,
+    atomic_write_bytes,
     cache_root,
     canonical_key,
+    clear_dir,
+    dir_stats,
     env_truthy,
     package_fingerprint,
+    read_bytes_or_none,
+    shard_path,
 )
 from repro.common.config import SimConfig
 from repro.common.errors import ReproError
@@ -108,6 +113,7 @@ FAILURE_POLICIES = ("raise", "fail-fast", "keep-going")
 _CACHE_SCHEMA = 2
 
 _RESULT_CLASSES = ("results", "programs", "checkpoints")
+_RESULT_GLOB = "*/*.json"
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +197,6 @@ def _unit_checkpoint_keys(
         (t, ckpt.interval_checkpoint_key(program_key, spec.seed, spec.config, t))
         for t in targets
     ]
-
-
-def _checkpoint_key_for(spec: RunSpec) -> str | None:
-    """The warmup checkpoint key of a spec, or ``None`` when not keyable."""
-    return _unit_checkpoint_keys(spec, None)[0]
 
 
 def _resolve_spec(spec: RunSpec):
@@ -605,8 +606,7 @@ class ResultCache:
         )
 
     def path_for(self, spec: RunSpec) -> Path:
-        key = self.key_for(spec)
-        return self.root / key[:2] / f"{key}.json"
+        return shard_path(self.root, self.key_for(spec), ".json")
 
     # -- read/write ----------------------------------------------------------
 
@@ -614,13 +614,15 @@ class ResultCache:
         """The cached result for ``spec``, or ``None`` on any kind of miss."""
         if not spec.cacheable:
             return None
+        raw = read_bytes_or_none(self.path_for(spec))
+        if raw is None:
+            return None
         try:
-            raw = self.path_for(spec).read_text(encoding="utf-8")
             data = json.loads(raw)
             if data.get("schema") != _CACHE_SCHEMA:
                 return None
             result = SimResult.from_dict(data["result"])
-        except (OSError, ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, AttributeError):
             return None
         # The label is presentation-only and not part of the key; restamp it
         # so differently-labelled submissions of one config read correctly.
@@ -632,19 +634,12 @@ class ResultCache:
         """Atomically persist ``result``; filesystem errors are non-fatal."""
         if not spec.cacheable:
             return
-        from repro.common.artifacts import atomic_write_bytes
-
         payload = {"schema": _CACHE_SCHEMA, "result": result.to_dict()}
         atomic_write_bytes(
             self.path_for(spec), json.dumps(payload).encode("utf-8")
         )
 
     # -- maintenance ---------------------------------------------------------
-
-    def _entry_paths(self) -> Iterable[Path]:
-        if not self.root.is_dir():
-            return []
-        return self.root.glob("*/*.json")
 
     def _program_store(self) -> ProgramStore:
         return ProgramStore(self.root / "programs")
@@ -653,14 +648,7 @@ class ResultCache:
         return ckpt.CheckpointStore(self.root / "checkpoints")
 
     def info(self) -> CacheInfo:
-        entries = 0
-        size = 0
-        for path in self._entry_paths():
-            try:
-                size += path.stat().st_size
-                entries += 1
-            except OSError:
-                continue
+        entries, size = dir_stats(self.root, _RESULT_GLOB)
         programs, program_bytes = self._program_store().stats()
         checkpoints, checkpoint_bytes = self._checkpoint_store().stats()
         return CacheInfo(
@@ -685,12 +673,7 @@ class ResultCache:
             raise ValueError(f"unknown cache classes: {sorted(unknown)}")
         removed = 0
         if "results" in selected:
-            for path in list(self._entry_paths()):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    continue
+            removed += clear_dir(self.root, _RESULT_GLOB)
         if "programs" in selected:
             removed += self._program_store().clear()
         if "checkpoints" in selected:

@@ -448,8 +448,6 @@ class Simulator:
         """
         if self.fast_forward_enabled and self.counters.hook is None:
             self._try_fast_forward()
-            if self.compiled_enabled and self._try_refill_step():
-                return
         self.steps_executed += 1
         self.cycle += 1
         cycle = self.cycle
@@ -463,43 +461,6 @@ class Simulator:
         self.fdip.scan(cycle)
         self.frontend.generate()
         self.ftq.sample_occupancy()
-
-    def _try_refill_step(self) -> bool:
-        """Run a provable FTQ-refill cycle with only its live stages.
-
-        The complement of :meth:`_try_fast_forward`: when the FTQ still has
-        space the cycle cannot be skipped (the walker produces blocks), but
-        if the fetch head is waiting on an in-flight fill, no MSHR fill
-        completes, and the backend has no retire/issue/resteer work, then
-        fills/poll/retire/fetch are all no-ops apart from the fetch-stall
-        bookkeeping.  Executing just the live stages (FDIP scan, generation,
-        occupancy sampling) is cycle-exact — nothing is skipped, the cycle
-        advances by one — so counters stay byte-identical to the full step.
-        Only used in compiled mode, where the backend idle probe is a single
-        C call; guarded by the same hook check as fast-forward.
-        """
-        ftq = self.ftq
-        if not ftq.has_space:
-            return False
-        entry = ftq.head()
-        cycle = self.cycle + 1
-        if entry is None or entry.ready_cycle < 0 or entry.ready_cycle <= cycle:
-            return False
-        mshr_ready = self.mshr.next_ready_cycle()
-        if mshr_ready is not None and mshr_ready <= cycle:
-            return False
-        backend_event = self.backend.next_event_cycle(self.cycle)
-        if backend_event is not None and backend_event <= cycle:
-            return False
-        self.steps_executed += 1
-        self.cycle = cycle
-        # Exactly what _fetch_decode records for a head-not-ready stall.
-        self._c_slots_lost_icache(self._frontend_width)
-        self._c_stall_icache()
-        self.fdip.scan(cycle)
-        self.frontend.generate()
-        ftq.sample_occupancy()
-        return True
 
     def _try_fast_forward(self) -> None:
         """Jump ``cycle`` over a run of provably idle stall cycles.

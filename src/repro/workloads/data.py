@@ -67,47 +67,40 @@ class DataAddressGenerator:
         """Forget all occurrence counters (fresh run)."""
         self._occurrences.clear()
 
-    # -- layout-neutral state (warm fast-forward checkpoints) ---------------
-
-    def occurrences_dict(self) -> dict[int, int]:
-        """Per-PC occurrence counters as a plain ``{pc: count}`` dict.
-
-        The layout-neutral form stored in warm-fast-forward checkpoints
-        (:mod:`repro.sim.checkpoint`): a snapshot captured by an interpreted
-        generator restores into a compiled one and vice versa.
-        """
-        return dict(self._occurrences)
-
-    def load_occurrences(self, occurrences: dict[int, int]) -> None:
-        """Replace all occurrence counters with a checkpointed dict."""
-        self._occurrences.clear()
-        self._occurrences.update(occurrences)
+    # -- checkpoint state (warm fast-forward) ---------------------------------
 
     def occurrences_state(self) -> dict[str, bytes]:
         """The occurrence counters as packed int64 arrays (checkpoint form).
 
-        Semantically identical to :meth:`occurrences_dict`, but serialized
-        as two parallel ``bytes`` buffers so pickling a checkpoint costs a
-        memcpy instead of building one tuple per touched PC — interval
-        sampling captures and restores this state once per interval, so the
-        dict form was a measurable share of sampled wall-clock.
+        Two parallel ``bytes`` buffers, PCs ascending, so both generator
+        layouts emit identical bytes for identical counters and a snapshot
+        restores into either.  Pickling them is a memcpy; interval sampling
+        captures and restores this state once per interval.
         """
         import numpy as np
 
         occ = self._occurrences
         pcs = np.fromiter(occ.keys(), dtype=np.int64, count=len(occ))
         counts = np.fromiter(occ.values(), dtype=np.int64, count=len(occ))
-        return {"pcs": pcs.tobytes(), "counts": counts.tobytes()}
+        order = np.argsort(pcs)
+        return {"pcs": pcs[order].tobytes(), "counts": counts[order].tobytes()}
 
     def load_occurrences_state(self, state: dict[str, bytes]) -> None:
         """Restore counters from :meth:`occurrences_state` output."""
-        import numpy as np
+        pcs, counts = _unpack(state)
+        self._occurrences.clear()
+        self._occurrences.update(zip(pcs.tolist(), counts.tolist()))
 
-        pcs = np.frombuffer(state["pcs"], dtype=np.int64)
-        counts = np.frombuffer(state["counts"], dtype=np.int64)
-        if len(pcs) != len(counts):
-            raise ValueError("occurrence state arrays disagree in length")
-        self.load_occurrences(dict(zip(pcs.tolist(), counts.tolist())))
+
+def _unpack(state: dict[str, bytes]):
+    """Decode and validate an ``occurrences_state`` snapshot."""
+    import numpy as np
+
+    pcs = np.frombuffer(state["pcs"], dtype=np.int64)
+    counts = np.frombuffer(state["counts"], dtype=np.int64)
+    if len(pcs) != len(counts):
+        raise ValueError("occurrence state arrays disagree in length")
+    return pcs, counts
 
 
 class DataAddressGeneratorC(DataAddressGenerator):
@@ -155,24 +148,6 @@ class DataAddressGeneratorC(DataAddressGenerator):
         """Forget all occurrence counters (fresh run)."""
         self._occ_arr[:] = 0
 
-    def occurrences_dict(self) -> dict[int, int]:
-        """Per-PC occurrence counters as a plain ``{pc: count}`` dict."""
-        (indices,) = self._occ_arr.nonzero()
-        return dict(
-            zip((indices << 2).tolist(), self._occ_arr[indices].tolist())
-        )
-
-    def load_occurrences(self, occurrences: dict[int, int]) -> None:
-        """Replace all occurrence counters with a checkpointed dict."""
-        self._occ_arr[:] = 0
-        for pc, count in occurrences.items():
-            index = pc >> 2
-            if not 0 <= index < len(self._occ_arr):
-                raise ValueError(
-                    f"occurrence pc {pc:#x} outside the program's code range"
-                )
-            self._occ_arr[index] = count
-
     def occurrences_state(self) -> dict[str, bytes]:
         """The occurrence counters as packed int64 arrays (checkpoint form)."""
         (indices,) = self._occ_arr.nonzero()
@@ -183,12 +158,7 @@ class DataAddressGeneratorC(DataAddressGenerator):
 
     def load_occurrences_state(self, state: dict[str, bytes]) -> None:
         """Restore counters from :meth:`occurrences_state` output."""
-        import numpy as np
-
-        pcs = np.frombuffer(state["pcs"], dtype=np.int64)
-        counts = np.frombuffer(state["counts"], dtype=np.int64)
-        if len(pcs) != len(counts):
-            raise ValueError("occurrence state arrays disagree in length")
+        pcs, counts = _unpack(state)
         self._occ_arr[:] = 0
         if len(pcs):
             indices = pcs >> 2

@@ -96,8 +96,9 @@ def test_corrupted_cache_file_is_a_miss(tmp_path):
     run_batch([spec], cache=cache)
     path = cache.path_for(spec)
     assert path.is_file()
-    path.write_text("{ not json !!", encoding="utf-8")
-    assert cache.get(spec) is None
+    for corrupt in ("[]", "{ not json !!"):
+        path.write_text(corrupt, encoding="utf-8")
+        assert cache.get(spec) is None
     stats = BatchStats()
     results = run_batch([spec], cache=cache, progress=stats)
     assert stats.simulated == 1 and stats.cache_hits == 0
@@ -219,7 +220,7 @@ def test_corrupt_checkpoint_file_falls_back_to_scratch():
 
     spec = _specs()[0]
     reference = run_batch([spec], jobs=1, no_cache=True)
-    key = engine._checkpoint_key_for(spec)
+    key = engine._unit_checkpoint_keys(spec, None)[0]
     store = ckpt.CheckpointStore()
     assert store.exists(key)
     store.path_for(key).write_bytes(b"corrupt snapshot")

@@ -385,7 +385,7 @@ def test_sampled_interval_failure_names_the_interval(monkeypatch):
 def test_corrupt_checkpoint_read_falls_back_to_rewarm(monkeypatch):
     spec = spec_for("mediawiki", FAST, 1, "ck")
     clean = run_batch([spec], jobs=1, no_cache=True)
-    key = engine._checkpoint_key_for(spec)
+    key = engine._unit_checkpoint_keys(spec, None)[0]
     assert key is not None and ckpt.CheckpointStore().exists(key)
 
     ckpt._BLOB_MEMO.clear()

@@ -327,7 +327,7 @@ def test_interval_checkpoints_created_and_reused():
     assert interval_keys and all(store.exists(k) for k in interval_keys)
     # A measured-length tweak reuses the same fast-forward positions only
     # where they coincide; the warmup checkpoint is always shared.
-    warmup_key = engine._checkpoint_key_for(spec)
+    warmup_key = engine._unit_checkpoint_keys(spec, None)[0]
     assert store.exists(warmup_key)
     # Second run restores every interval checkpoint instead of re-walking.
     rerun = run_batch([_sampled_spec(label="again")], jobs=1, no_cache=True)[0]
@@ -381,25 +381,24 @@ def test_warm_fastforward_fills_the_data_side():
     warm = _warm_sim(sampled, warm=True)
     # Cold walks leave the data caches exactly as functional warmup did
     # (instruction lines only); warming replays the walked loads/stores.
-    assert not cold.data_gen.occurrences_dict()
-    assert warm.data_gen.occurrences_dict()
-    lines = lambda sim: sum(len(s) for s in sim.hierarchy.l1d.state_lines())
-    assert lines(cold) == 0
-    assert lines(warm) > 0
+    assert not cold.data_gen.occurrences_state()["pcs"]
+    assert warm.data_gen.occurrences_state()["pcs"]
+    assert cold.hierarchy.l1d.occupancy == 0
+    assert warm.hierarchy.l1d.occupancy > 0
     # The warming replay never consumes cycles or measured counters.
     assert warm.cycle == 0 and cold.cycle == 0
 
 
 def test_warm_fastforward_defaults_from_sampling_config():
     warm_default = _warm_sim(FAST.with_sampling(4, 200, 100), warm=None)
-    assert warm_default.data_gen.occurrences_dict()
+    assert warm_default.data_gen.occurrences_state()["pcs"]
     cold_config = FAST.replace(
         sampling=dataclasses.replace(
             FAST.with_sampling(4, 200, 100).sampling, warm_fastforward=False
         )
     )
     cold_default = _warm_sim(cold_config, warm=None)
-    assert not cold_default.data_gen.occurrences_dict()
+    assert not cold_default.data_gen.occurrences_state()["pcs"]
 
 
 def test_chained_warm_fastforward_equals_direct_jump():

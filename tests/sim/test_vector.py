@@ -51,8 +51,9 @@ def _run_mode(workload: str, preset: str, n: int, mode: str):
 
 
 def _logical_state(sim) -> dict:
-    """Predictor and cache contents in the layout-neutral checkpoint format,
-    so SoA ndarrays and the object oracle's dicts compare directly."""
+    """Predictor, cache and data-generator state in the checkpoint format,
+    so SoA ndarrays and the object oracle's dicts compare directly (the
+    packed cache and occurrence buffers must be byte-equal)."""
     bpu = sim.bpu
     tage = bpu.tage.state_dict()
     return {
@@ -61,10 +62,11 @@ def _logical_state(sim) -> dict:
         "tage": tage,
         "btb": bpu.btb.state_dict(),
         "ibtb": bpu.ibtb.state_dict(),
-        "l1i": sim.l1i.state_lines(),
-        "l1d": sim.hierarchy.l1d.state_lines(),
-        "l2": sim.hierarchy.l2.state_lines(),
-        "llc": sim.hierarchy.llc.state_lines(),
+        "l1i": sim.l1i.state_packed(),
+        "l1d": sim.hierarchy.l1d.state_packed(),
+        "l2": sim.hierarchy.l2.state_packed(),
+        "llc": sim.hierarchy.llc.state_packed(),
+        "data": sim.data_gen.occurrences_state(),
     }
 
 
@@ -193,7 +195,7 @@ def test_warm_fastforward_checkpoints_cross_modes(
     donor.functional_warmup(config.functional_warmup_blocks)
     target = donor.oracle.instrs_walked + 600
     donor.fast_forward_to(target, warm=True)
-    assert donor.data_gen.occurrences_dict()
+    assert donor.data_gen.occurrences_state()["pcs"]
     blob = ckpt.capture_warmup(donor)
 
     restored = fresh(restore_mode)
@@ -205,12 +207,12 @@ def test_warm_fastforward_checkpoints_cross_modes(
 
     # The warming-mutated state restores layout-neutrally...
     assert (
-        restored.data_gen.occurrences_dict()
-        == scratch.data_gen.occurrences_dict()
+        restored.data_gen.occurrences_state()
+        == scratch.data_gen.occurrences_state()
     )
     assert (
-        restored.hierarchy.l1d.state_lines()
-        == scratch.hierarchy.l1d.state_lines()
+        restored.hierarchy.l1d.state_packed()
+        == scratch.hierarchy.l1d.state_packed()
     )
     assert (restored.hierarchy.stream is None) == (
         scratch.hierarchy.stream is None
