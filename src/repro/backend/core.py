@@ -16,6 +16,7 @@ retire.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 from repro.common.config import CoreConfig
@@ -481,25 +482,13 @@ class BackendCoreC(BackendCore):
         )
 
     def install_dep_table(self, code_end: int) -> None:
-        """Precompute the per-PC load-dependence flag for the whole program.
+        """Point the kernel at the program's per-PC load-dependence flags.
 
-        One vectorized splitmix64 sweep over every instruction address,
-        stored as a ``uint8`` table indexed by ``pc >> 2`` — bit-identical to
-        :meth:`BackendCore._depends_on_load` (uint64 wrap-around equals the
-        ``& mask``).
+        The table (:func:`_dep_table`) is shared read-only by every backend
+        of the process with the same seed, code size and threshold.
         """
-        import numpy as np
-
-        u64 = np.uint64
-        with np.errstate(over="ignore"):
-            x = np.arange(0, code_end, 4, dtype=np.uint64)
-            x = (x ^ u64(self.seed)) + u64(0x9E3779B97F4A7C15)
-            x = (x ^ (x >> u64(30))) * u64(0xBF58476D1CE4E5B9)
-            x = (x ^ (x >> u64(27))) * u64(0x94D049BB133111EB)
-            x ^= x >> u64(31)
-        flags = (x & u64(0xFFFF_FFFF)) < u64(self._dep_threshold)
-        self._dep_table = flags.astype(np.uint8)  # owns bi[26]'s memory
-        self._bi[26] = self._dep_table.ctypes.data
+        self._dep_table = _dep_table(self.seed, code_end, self._dep_threshold)
+        self._bi[26] = self._dep_table.ctypes.data  # kept alive just above
         self._bi[27] = len(self._dep_table)
 
     # -- per-cycle step ------------------------------------------------------
@@ -566,3 +555,28 @@ class BackendCoreC(BackendCore):
     def in_flight(self) -> int:
         bmv = self._bmv
         return bmv[11] - bmv[10]
+
+
+@functools.lru_cache(maxsize=4)
+def _dep_table(seed: int, code_end: int, threshold: int):
+    """The per-PC load-dependence flags of a whole program, read-only.
+
+    One vectorized splitmix64 sweep over every instruction address, stored
+    as a ``uint8`` table indexed by ``pc >> 2`` — bit-identical to
+    :meth:`BackendCore._depends_on_load` (uint64 wrap-around equals the
+    ``& mask``).  Every interval of a sampled run builds a fresh simulator
+    over the same program, so the sweep is memoized per process; the C
+    kernel only reads the table.
+    """
+    import numpy as np
+
+    u64 = np.uint64
+    with np.errstate(over="ignore"):
+        x = np.arange(0, code_end, 4, dtype=np.uint64)
+        x = (x ^ u64(seed)) + u64(0x9E3779B97F4A7C15)
+        x = (x ^ (x >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> u64(27))) * u64(0x94D049BB133111EB)
+        x ^= x >> u64(31)
+    table = ((x & u64(0xFFFF_FFFF)) < u64(threshold)).astype(np.uint8)
+    table.flags.writeable = False
+    return table

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 from repro.common.cc import resolve_compiled
 from repro.common.config import BranchConfig
+from repro.common.packed import lru_slots, restore_ways, unpack_sets
 from repro.workloads.program import BranchKind
+
+
+# Entry fields of the packed checkpoint form, in wire order.
+_BTB_FIELDS = {"pcs": "i8", "kinds": "u1", "targets": "i8"}
+_IBTB_FIELDS = {"tags": "i8", "targets": "i8"}
 
 
 @dataclass
@@ -79,36 +85,53 @@ class BranchTargetBuffer:
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
 
-    # -- checkpoint serialization (layout-neutral) --------------------------
+    # -- checkpoint state ------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """Per-set ``(pc, kind, target)`` tuples in LRU→MRU order.
+    def state_packed(self) -> dict:
+        """Contents as packed per-set arrays (the checkpoint wire form).
 
-        Only the *relative* recency within a set affects future behaviour
-        (eviction takes the min stamp), so ordering replaces raw stamps and
-        the format round-trips between the dict-based and SoA layouts.
+        A ``uint16`` entry count per set, then ``int64`` pcs, ``uint8`` kinds
+        and ``int64`` targets in set-major LRU->MRU order (see
+        :mod:`repro.common.packed`), plus the hit/miss counts.  Only the
+        *relative* recency within a set affects future behaviour (eviction
+        takes the min stamp), so ordering replaces raw stamps and both
+        layouts emit identical bytes.
         """
+        import numpy as np
+
+        entries = [
+            e
+            for way_set in self._sets
+            for e in sorted(way_set.values(), key=lambda e: e.lru)
+        ]
         return {
-            "sets": [
-                [
-                    (e.pc, int(e.kind), e.target)
-                    for e in sorted(way_set.values(), key=lambda e: e.lru)
-                ]
-                for way_set in self._sets
-            ],
+            "counts": np.array(
+                [len(way_set) for way_set in self._sets], dtype=np.uint16
+            ).tobytes(),
+            "pcs": np.array([e.pc for e in entries], dtype=np.int64).tobytes(),
+            "kinds": np.array([e.kind for e in entries], dtype=np.uint8).tobytes(),
+            "targets": np.array(
+                [e.target for e in entries], dtype=np.int64
+            ).tobytes(),
             "hits": self.hits,
             "misses": self.misses,
         }
 
-    def load_state(self, state: dict) -> None:
-        sets_state = state["sets"]
-        if len(sets_state) != self.num_sets:
-            raise ValueError("BTB geometry mismatch")
-        for way_set, entries in zip(self._sets, sets_state):
+    def load_packed(self, state: dict) -> None:
+        """Restore :meth:`state_packed` output in place (geometry must match)."""
+        counts, (pcs, kinds, targets) = unpack_sets(
+            state, self.num_sets, self.assoc, _BTB_FIELDS, "BTB"
+        )
+        pcs, kinds, targets = pcs.tolist(), kinds.tolist(), targets.tolist()
+        pos = 0
+        for way_set, n in zip(self._sets, counts.tolist()):
             way_set.clear()
-            for pc, kind, target in entries:
+            for i in range(pos, pos + n):
                 self._stamp += 1
-                way_set[pc] = BTBEntry(pc, BranchKind(kind), target, self._stamp)
+                way_set[pcs[i]] = BTBEntry(
+                    pcs[i], BranchKind(kinds[i]), targets[i], self._stamp
+                )
+            pos += n
         self.hits = state["hits"]
         self.misses = state["misses"]
 
@@ -119,8 +142,8 @@ class BranchTargetBufferC(BranchTargetBuffer):
     Way payloads (tag pc, kind, target) live in preallocated
     ``(num_sets, assoc)`` int64 ndarrays with a parallel stamp array; the
     victim is the minimum stamp, exactly as in the object oracle.  The
-    layout-neutral ``state_dict`` format (LRU→MRU per set) round-trips with
-    :class:`BranchTargetBuffer`.
+    packed checkpoint form (LRU→MRU per set) is byte-identical to
+    :class:`BranchTargetBuffer`'s.
     """
 
     def __init__(self, entries: int, assoc: int) -> None:
@@ -138,10 +161,8 @@ class BranchTargetBufferC(BranchTargetBuffer):
         self._targets = np.zeros((self.num_sets, assoc), dtype=np.int64)
         self._pcs = np.full((self.num_sets, assoc), -1, dtype=np.int64)
         self._stamps = np.zeros(self.num_sets * assoc, dtype=np.int64)
-        self._pcs_f = memoryview(self._pcs.reshape(-1))
         self._kinds_f = memoryview(self._kinds.reshape(-1))
         self._targets_f = memoryview(self._targets.reshape(-1))
-        self._stamps_f = memoryview(self._stamps)
         di = np.zeros(10, dtype=np.int64)
         di[0] = self._pcs.ctypes.data
         di[1] = self._kinds.ctypes.data
@@ -192,54 +213,29 @@ class BranchTargetBufferC(BranchTargetBuffer):
     def occupancy(self) -> int:
         return int(self._dmv[9])
 
-    def _resident_lru_to_mru(self, set_index: int) -> list[int]:
-        base = set_index * self.assoc
-        ways = [
-            base + w
-            for w in range(self.assoc)
-            if self._pcs_f[base + w] != -1
-        ]
-        ways.sort(key=lambda g: self._stamps_f[g])
-        return ways
+    def state_packed(self) -> dict:
+        """Same bytes as :meth:`BranchTargetBuffer.state_packed`."""
+        import numpy as np
 
-    def state_dict(self) -> dict:
-        """Same layout-neutral format as :meth:`BranchTargetBuffer.state_dict`."""
+        counts, ways = lru_slots(self._pcs != -1, self._stamps)
         return {
-            "sets": [
-                [
-                    (
-                        int(self._pcs_f[g]),
-                        int(self._kinds_f[g]),
-                        int(self._targets_f[g]),
-                    )
-                    for g in self._resident_lru_to_mru(s)
-                ]
-                for s in range(self.num_sets)
-            ],
+            "counts": counts.astype(np.uint16).tobytes(),
+            "pcs": self._pcs.reshape(-1)[ways].tobytes(),
+            "kinds": self._kinds.reshape(-1)[ways].astype(np.uint8).tobytes(),
+            "targets": self._targets.reshape(-1)[ways].tobytes(),
             "hits": self.hits,
             "misses": self.misses,
         }
 
-    def load_state(self, state: dict) -> None:
-        sets_state = state["sets"]
-        if len(sets_state) != self.num_sets:
-            raise ValueError("BTB geometry mismatch")
-        self._pcs[:] = -1
-        self._stamps[:] = 0
-        stamp = int(self._di[6])
-        occupancy = 0
-        for s, entries in enumerate(sets_state):
-            base = s * self.assoc
-            for w, (pc, kind, target) in enumerate(entries):
-                stamp += 1
-                g = base + w
-                self._pcs_f[g] = pc
-                self._kinds_f[g] = kind
-                self._targets_f[g] = target
-                self._stamps_f[g] = stamp
-                occupancy += 1
-        self._di[6] = stamp
-        self._di[9] = occupancy
+    def load_packed(self, state: dict) -> None:
+        """Restore :meth:`state_packed` output in place (geometry must match)."""
+        counts, (pcs, kinds, targets) = unpack_sets(
+            state, self.num_sets, self.assoc, _BTB_FIELDS, "BTB"
+        )
+        planes = ((self._pcs, -1, pcs), (self._kinds, 0, kinds), (self._targets, 0, targets))
+        di = self._di  # di[6]: running stamp, di[9]: occupancy
+        di[6] = restore_ways(counts, self.assoc, self._stamps, int(di[6]), planes)
+        di[9] = len(pcs)
         self.hits = state["hits"]
         self.misses = state["misses"]
 
@@ -284,33 +280,43 @@ class IndirectTargetBuffer:
             del way_set[victim]
         way_set[tag] = (target, self._stamp)
 
-    # -- checkpoint serialization (layout-neutral) --------------------------
+    # -- checkpoint state ------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """Per-set ``(tag, target)`` tuples in LRU→MRU order."""
+    def state_packed(self) -> dict:
+        """Per-set ``int64`` tags and targets in LRU->MRU order, packed as in
+        :meth:`BranchTargetBuffer.state_packed`."""
+        import numpy as np
+
+        entries = [
+            kv
+            for way_set in self._sets
+            for kv in sorted(way_set.items(), key=lambda kv: kv[1][1])
+        ]
         return {
-            "sets": [
-                [
-                    (tag, entry[0])
-                    for tag, entry in sorted(
-                        way_set.items(), key=lambda kv: kv[1][1]
-                    )
-                ]
-                for way_set in self._sets
-            ],
+            "counts": np.array(
+                [len(way_set) for way_set in self._sets], dtype=np.uint16
+            ).tobytes(),
+            "tags": np.array([tag for tag, _ in entries], dtype=np.int64).tobytes(),
+            "targets": np.array(
+                [entry[0] for _, entry in entries], dtype=np.int64
+            ).tobytes(),
             "hits": self.hits,
             "misses": self.misses,
         }
 
-    def load_state(self, state: dict) -> None:
-        sets_state = state["sets"]
-        if len(sets_state) != self.num_sets:
-            raise ValueError("iBTB geometry mismatch")
-        for way_set, entries in zip(self._sets, sets_state):
+    def load_packed(self, state: dict) -> None:
+        """Restore :meth:`state_packed` output in place (geometry must match)."""
+        counts, (tags, targets) = unpack_sets(
+            state, self.num_sets, self.assoc, _IBTB_FIELDS, "iBTB"
+        )
+        tags, targets = tags.tolist(), targets.tolist()
+        pos = 0
+        for way_set, n in zip(self._sets, counts.tolist()):
             way_set.clear()
-            for tag, target in entries:
+            for i in range(pos, pos + n):
                 self._stamp += 1
-                way_set[tag] = (target, self._stamp)
+                way_set[tags[i]] = (targets[i], self._stamp)
+            pos += n
         self.hits = state["hits"]
         self.misses = state["misses"]
 
@@ -339,9 +345,6 @@ class IndirectTargetBufferC(IndirectTargetBuffer):
         self._tags = np.full((self.num_sets, assoc), -1, dtype=np.int64)
         self._targets = np.zeros((self.num_sets, assoc), dtype=np.int64)
         self._stamps = np.zeros(self.num_sets * assoc, dtype=np.int64)
-        self._tags_f = memoryview(self._tags.reshape(-1))
-        self._targets_f = memoryview(self._targets.reshape(-1))
-        self._stamps_f = memoryview(self._stamps)
         di = np.zeros(10, dtype=np.int64)
         di[0] = self._tags.ctypes.data
         di[1] = self._targets.ctypes.data  # kinds plane: never touched for iBTB
@@ -383,40 +386,28 @@ class IndirectTargetBufferC(IndirectTargetBuffer):
     def misses(self, value: int) -> None:
         self._di[8] = value
 
-    def state_dict(self) -> dict:
-        sets_out = []
-        for s in range(self.num_sets):
-            base = s * self.assoc
-            ways = [
-                base + w
-                for w in range(self.assoc)
-                if self._tags_f[base + w] != -1
-            ]
-            ways.sort(key=lambda g: self._stamps_f[g])
-            sets_out.append(
-                [(int(self._tags_f[g]), int(self._targets_f[g])) for g in ways]
-            )
-        return {"sets": sets_out, "hits": self.hits, "misses": self.misses}
+    def state_packed(self) -> dict:
+        """Same bytes as :meth:`IndirectTargetBuffer.state_packed`."""
+        import numpy as np
 
-    def load_state(self, state: dict) -> None:
-        sets_state = state["sets"]
-        if len(sets_state) != self.num_sets:
-            raise ValueError("iBTB geometry mismatch")
-        self._tags[:] = -1
-        self._stamps[:] = 0
-        stamp = int(self._di[6])
-        occupancy = 0
-        for s, entries in enumerate(sets_state):
-            base = s * self.assoc
-            for w, (tag, target) in enumerate(entries):
-                stamp += 1
-                g = base + w
-                self._tags_f[g] = tag
-                self._targets_f[g] = target
-                self._stamps_f[g] = stamp
-                occupancy += 1
-        self._di[6] = stamp
-        self._di[9] = occupancy
+        counts, ways = lru_slots(self._tags != -1, self._stamps)
+        return {
+            "counts": counts.astype(np.uint16).tobytes(),
+            "tags": self._tags.reshape(-1)[ways].tobytes(),
+            "targets": self._targets.reshape(-1)[ways].tobytes(),
+            "hits": self.hits,
+            "misses": self.misses,
+        }
+
+    def load_packed(self, state: dict) -> None:
+        """Restore :meth:`state_packed` output in place (geometry must match)."""
+        counts, (tags, targets) = unpack_sets(
+            state, self.num_sets, self.assoc, _IBTB_FIELDS, "iBTB"
+        )
+        planes = ((self._tags, -1, tags), (self._targets, 0, targets))
+        di = self._di  # di[6]: running stamp, di[9]: occupancy
+        di[6] = restore_ways(counts, self.assoc, self._stamps, int(di[6]), planes)
+        di[9] = len(tags)
         self.hits = state["hits"]
         self.misses = state["misses"]
 

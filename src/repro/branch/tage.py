@@ -294,39 +294,61 @@ class TagePredictor:
                 if useful[i]:
                     useful[i] -= 1
 
-    # -- checkpoint serialization (layout-neutral) ----------------------------
+    # -- checkpoint state --------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """Serializable predictor state, independent of the table layout.
+    def state_packed(self) -> dict:
+        """Predictor state as packed arrays (the checkpoint wire form).
 
-        The same format is produced and consumed by :class:`TagePredictor`
-        and :class:`TagePredictorC`, so a warmup checkpoint captured under
-        either mode restores under the other (``REPRO_NO_COMPILED``
-        cross-mode round-trips in ``tests/sim/test_vector.py``).
+        The tagged tables travel as three table-major buffers (``int64``
+        tags, ``int8`` counters, ``uint8`` usefulness), the bimodal base as
+        its ``uint8`` counters.  :class:`TagePredictor` and
+        :class:`TagePredictorC` emit identical bytes, so a checkpoint
+        captured under either mode restores under the other.
         """
+        import numpy as np
+
         return {
-            "base": self.base,  # BimodalPredictor: identical class either mode
-            "tables": [
-                (list(t.tags), list(t.ctrs), bytes(t.useful)) for t in self.tables
-            ],
+            "tags": np.array([t.tags for t in self.tables], dtype=np.int64).tobytes(),
+            "ctrs": np.array([t.ctrs for t in self.tables], dtype=np.int8).tobytes(),
+            "useful": b"".join(bytes(t.useful) for t in self.tables),
+            "base": bytes(self.base.table),
             "use_alt_counter": self.use_alt_counter,
             "tick": self._tick,
         }
 
-    def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output in place (geometry must match)."""
-        tables_state = state["tables"]
-        if len(tables_state) != len(self.tables):
-            raise ValueError("TAGE table count mismatch")
-        for table, (tags, ctrs, useful) in zip(self.tables, tables_state):
-            if len(tags) != table.size:
-                raise ValueError("TAGE table geometry mismatch")
-            table.tags[:] = tags
-            table.ctrs[:] = ctrs
-            table.useful[:] = useful
-        self.base = state["base"]
+    def load_packed(self, state: dict) -> None:
+        """Restore :meth:`state_packed` output in place (geometry must match)."""
+        tags, ctrs, useful = _unpack(
+            state, len(self.tables), self.tables[0].size, self.base
+        )
+        for table, t_tags, t_ctrs, t_useful in zip(self.tables, tags, ctrs, useful):
+            table.tags[:] = t_tags.tolist()
+            table.ctrs[:] = t_ctrs.tolist()
+            table.useful[:] = t_useful.tobytes()
+        self.base.table[:] = state["base"]
         self.use_alt_counter = state["use_alt_counter"]
         self._tick = state["tick"]
+
+
+def _unpack(state: dict, num_tables: int, size: int, base: BimodalPredictor):
+    """Decode and validate a :meth:`TagePredictor.state_packed` snapshot.
+
+    Returns ``(tags, ctrs, useful)`` as ``(num_tables, size)`` ndarrays;
+    raises ValueError when the snapshot does not fit this geometry (the
+    bimodal base included).
+    """
+    import numpy as np
+
+    planes = [
+        np.frombuffer(state[name], dtype=dtype)
+        for name, dtype in (("tags", np.int64), ("ctrs", np.int8), ("useful", np.uint8))
+    ]
+    if (
+        any(len(plane) != num_tables * size for plane in planes)
+        or len(state["base"]) != base.size
+    ):
+        raise ValueError("TAGE geometry mismatch")
+    return [plane.reshape(num_tables, size) for plane in planes]
 
 
 class TagePredictorC(TagePredictor):
@@ -339,7 +361,7 @@ class TagePredictorC(TagePredictor):
     aging).  Requires the shared history to be a
     :class:`~repro.branch.history.GlobalHistoryC`, whose folded-fold array
     the descriptor points into.  ``use_alt_counter`` and ``_tick`` live in
-    the descriptor so C-side updates are visible to ``state_dict``.
+    the descriptor so C-side updates are visible to ``state_packed``.
 
     Byte-identical to :class:`TagePredictor` in predictions, allocations,
     and counters (``tests/sim/test_vector.py``).
@@ -382,7 +404,12 @@ class TagePredictorC(TagePredictor):
         di[6] = self._tag_mask
         di[7] = config.tage_table_bits
         di[8] = history._folded_arr.ctypes.data
-        # di[9]/di[10]: bimodal base pointer+mask, bound by _bind_base below.
+        # The bimodal base's counters: its bytearray is never resized or
+        # replaced (``load_packed`` restores it in place), so the pointer
+        # stays valid for the predictor's lifetime.
+        self._base_view = np.frombuffer(self.base.table, dtype=np.uint8)
+        di[9] = self._base_view.ctypes.data
+        di[10] = self.base.size - 1
         di[11] = config.tage_use_alt_threshold  # use_alt_counter
         di[12] = config.tage_use_alt_threshold
         # di[13]=tick, di[14..21]: prediction outputs
@@ -391,20 +418,8 @@ class TagePredictorC(TagePredictor):
         self._di = di
         self._dmv = memoryview(di)
         self._desc = int(di.ctypes.data)
-        self._bind_base()
         self._k_predict = kernels.tage_predict
         self._k_update = kernels.tage_update
-
-    def _bind_base(self) -> None:
-        """(Re)point the descriptor at the bimodal table's buffer.
-
-        ``load_state`` replaces ``self.base`` wholesale, so the raw pointer
-        must be refreshed whenever that happens.  The bytearray is never
-        resized, so the pointer stays valid between rebinds.
-        """
-        self._base_view = self._np.frombuffer(self.base.table, dtype=self._np.uint8)
-        self._di[9] = self._base_view.ctypes.data
-        self._di[10] = self.base.size - 1
 
     @property
     def use_alt_counter(self) -> int:
@@ -457,37 +472,30 @@ class TagePredictorC(TagePredictor):
             prediction.tags,
         )
 
-    def state_dict(self) -> dict:
-        """Same layout-neutral format as :meth:`TagePredictor.state_dict`."""
+    def state_packed(self) -> dict:
+        """Same bytes as :meth:`TagePredictor.state_packed`."""
+        np = self._np
         return {
-            "base": self.base,
-            "tables": [
-                (
-                    self._tags_arr[t].tolist(),
-                    self._ctrs_arr[t].tolist(),
-                    self._useful_arr[t].astype("uint8").tobytes(),
-                )
-                for t in range(len(self._tags_arr))
-            ],
+            "tags": self._tags_arr.tobytes(),
+            "ctrs": self._ctrs_arr.astype(np.int8).tobytes(),
+            "useful": self._useful_arr.astype(np.uint8).tobytes(),
+            "base": bytes(self.base.table),
             "use_alt_counter": self.use_alt_counter,
             "tick": self._tick,
         }
 
-    def load_state(self, state: dict) -> None:
-        np = self._np
-        tables_state = state["tables"]
-        if len(tables_state) != len(self._tags_arr):
-            raise ValueError("TAGE table count mismatch")
-        for t, (tags, ctrs, useful) in enumerate(tables_state):
-            if len(tags) != self._size:
-                raise ValueError("TAGE table geometry mismatch")
-            self._tags_arr[t, :] = tags
-            self._ctrs_arr[t, :] = ctrs
-            self._useful_arr[t, :] = np.frombuffer(useful, dtype=np.uint8)
-        self.base = state["base"]
+    def load_packed(self, state: dict) -> None:
+        """Restore :meth:`state_packed` output in place (geometry must match)."""
+        tags, ctrs, useful = _unpack(
+            state, len(self._tags_arr), self._size, self.base
+        )
+        self._tags_arr[:] = tags
+        self._ctrs_arr[:] = ctrs
+        self._useful_arr[:] = useful
+        # In place: the descriptor points into this bytearray's buffer.
+        self.base.table[:] = state["base"]
         self.use_alt_counter = state["use_alt_counter"]
         self._tick = state["tick"]
-        self._bind_base()
 
 
 def tage_from_config(

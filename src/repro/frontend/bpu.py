@@ -135,7 +135,6 @@ class DecoupledFrontend:
             # Compiled mode: memoized fetch-window walk plans (the static part
             # of _walk_block precomputed once per distinct start PC).
             self._plans: dict[int, _WindowPlan] = {}
-            self._walk_block = self._walk_block_planned  # type: ignore[method-assign]
             self._np = None
             self._k_first_hit = None
             self._btb_c = None
@@ -161,11 +160,14 @@ class DecoupledFrontend:
         """Produce up to ``ftq_blocks_per_cycle`` entries (FTQ space permitting)."""
         produced: list[FTQEntry] = []
         ftq = self.ftq
+        # Chosen per call, not stored: a bound method kept on the instance
+        # would tie the frontend into a reference cycle.
+        walk = self._walk_block_planned if self.bpu.compiled else self._walk_block
         for _ in range(self._blocks_per_cycle):
             if not ftq.has_space:
                 self._c_ftq_full()
                 break
-            entry = self._walk_block()
+            entry = walk()
             ftq.push(entry)
             produced.append(entry)
             if entry.on_path:

@@ -23,6 +23,7 @@ from typing import Callable
 
 from repro.common.cc import resolve_compiled
 from repro.common.config import CacheConfig
+from repro.common.packed import lru_slots, restore_ways, unpack_sets
 
 
 @dataclass(slots=True)
@@ -149,7 +150,9 @@ class SetAssocCache:
 
     def load_packed(self, state: dict[str, bytes]) -> None:
         """Restore contents from :meth:`state_packed` output, in place."""
-        counts, addrs, flags = _unpack(state, self.num_sets, self.assoc)
+        counts, (addrs, flags) = unpack_sets(
+            state, self.num_sets, self.assoc, _FIELDS, "cache"
+        )
         addrs = addrs.tolist()
         flags = flags.tolist()
         pos = 0
@@ -179,25 +182,8 @@ def _line_from_flags(line_addr: int, flags: int) -> CacheLine:
     )
 
 
-def _unpack(state: dict[str, bytes], num_sets: int, assoc: int):
-    """Decode and validate a :meth:`SetAssocCache.state_packed` snapshot.
-
-    Returns ``(counts, addrs, flags)`` ndarrays; raises ValueError when the
-    snapshot does not fit a ``num_sets`` x ``assoc`` cache.
-    """
-    import numpy as np
-
-    counts = np.frombuffer(state["counts"], dtype=np.uint16).astype(np.int64)
-    addrs = np.frombuffer(state["addrs"], dtype=np.int64)
-    flags = np.frombuffer(state["flags"], dtype=np.uint8)
-    if (
-        len(counts) != num_sets
-        or int(counts.max(initial=0)) > assoc
-        or int(counts.sum()) != len(addrs)
-        or len(flags) != len(addrs)
-    ):
-        raise ValueError("cache geometry mismatch")
-    return counts, addrs, flags
+# Line fields of the packed checkpoint form, in wire order.
+_FIELDS = {"addrs": "i8", "flags": "u1"}
 
 
 class _CLineRef:
@@ -359,45 +345,21 @@ class SetAssocCacheC(SetAssocCache):
     def state_packed(self) -> dict[str, bytes]:
         import numpy as np
 
-        resident = self._addrs != -1
-        counts = resident.sum(axis=1)
-        stamps = self._stamps.reshape(self.num_sets, self.assoc)
-        # Stamp order (LRU->MRU) with empty ways sorted last; the stable
-        # sort breaks stamp ties by way index.
-        key = np.where(resident, stamps, np.iinfo(np.int64).max)
-        order = np.argsort(key, axis=1, kind="stable")
-        gidx = order + np.arange(self.num_sets, dtype=np.int64)[:, None] * self.assoc
-        mask = np.arange(self.assoc, dtype=np.int64)[None, :] < counts[:, None]
-        flat = gidx[mask]
+        counts, ways = lru_slots(self._addrs != -1, self._stamps)
         return {
             "counts": counts.astype(np.uint16).tobytes(),
-            "addrs": self._addrs_flat[flat].tobytes(),
-            "flags": self._flags_flat[flat].astype(np.uint8).tobytes(),
+            "addrs": self._addrs_flat[ways].tobytes(),
+            "flags": self._flags_flat[ways].astype(np.uint8).tobytes(),
         }
 
     def load_packed(self, state: dict[str, bytes]) -> None:
-        import numpy as np
-
-        counts, addrs, flags = _unpack(state, self.num_sets, self.assoc)
-        total = len(addrs)
-        self._addrs[:] = -1
-        self._flags[:] = 0
-        self._stamps[:] = 0
+        counts, (addrs, flags) = unpack_sets(
+            state, self.num_sets, self.assoc, _FIELDS, "cache"
+        )
+        planes = ((self._addrs, -1, addrs), (self._flags, 0, flags))
         di = self._di
-        stamp = int(di[7])
-        if total:
-            sets_rep = np.repeat(np.arange(self.num_sets, dtype=np.int64), counts)
-            starts = np.cumsum(counts) - counts
-            ways = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-            flat = sets_rep * self.assoc + ways
-            self._addrs_flat[flat] = addrs
-            self._flags_flat[flat] = flags
-            # Stamps count up in set-major LRU->MRU order, so the next
-            # ``state_packed`` emits the lines in the order they arrived.
-            self._stamps[flat] = stamp + 1 + np.arange(total, dtype=np.int64)
-            stamp += total
-        di[7] = stamp
-        di[8] = total
+        di[7] = restore_ways(counts, self.assoc, self._stamps, int(di[7]), planes)
+        di[8] = len(addrs)
         di[9] = -1
 
 

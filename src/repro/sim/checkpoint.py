@@ -31,17 +31,18 @@ sweep shares a single checkpoint (``tests/sim/test_checkpoint_key.py``).
 Restoration rules worth knowing when extending the simulator:
 
 * **all** predictor and cache state is serialized layout-neutrally and
-  restored in place (``state_dict``/``load_state`` on TAGE/BTB/iBTB,
-  ``state_packed``/``load_packed`` on the caches): a snapshot captured in
-  compiled (SoA) mode restores into an object-mode simulator and vice versa,
-  and no component object is ever swapped out from under the closures and
-  hooks that alias it;
-* cache contents travel as packed per-set line arrays in LRU->MRU order
-  (counts/addresses/flags buffers — interval sampling serializes every
-  cache once per interval, so the wire form must pickle as a memcpy),
-  BTB/iBTB sets are per-set entry tuples in LRU->MRU order — replacement
-  order is part of the state, the physical layout (dict of objects vs.
-  ndarray ways) is not.
+  restored in place (``state_packed``/``load_packed`` on TAGE, the BTB, the
+  iBTB and the caches): a snapshot captured in compiled (SoA) mode restores
+  into an object-mode simulator and vice versa, and no component object is
+  ever swapped out from under the closures and hooks that alias it;
+* caches, the BTB and the iBTB travel in one packed per-set form (see
+  :mod:`repro.common.packed`): a resident count per set, then flat entry
+  arrays (addresses and flags; pcs, kinds and targets; tags and targets) in
+  set-major LRU->MRU order — replacement order is part of the state, the
+  physical layout (dict of objects vs. ndarray ways) is not.  TAGE's tagged
+  tables and bimodal base travel as table-major counter buffers.  Interval
+  sampling serializes everything once per interval, so the wire form must
+  pickle as a memcpy, and both layouts emit identical bytes.
 
 ``REPRO_NO_CHECKPOINT=1`` opts out (the engine re-runs warmup from
 scratch); a corrupt or stale snapshot raises :class:`CheckpointError`,
@@ -54,7 +55,7 @@ import dataclasses
 import pickle
 from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.common import faults
 from repro.common.artifacts import (
@@ -81,14 +82,15 @@ __all__ = [
     "CheckpointStore",
     "capture_warmup",
     "checkpoint_key",
+    "checkpoint_keys",
     "checkpointing_enabled",
     "interval_checkpoint_key",
     "restore_warmup",
     "warmup_config_subset",
 ]
 
-# Schema 2: layout-neutral predictor/cache serialization (predictor
-# ``state_dict`` plus per-set cache line lists) replacing pickled component
+# Schema 2: layout-neutral predictor/cache serialization (predictor state
+# dicts plus per-set cache line lists) replacing pickled component
 # objects, so SoA-layout and object-mode simulators share checkpoints
 # interchangeably.
 # Schema 3: warming fast-forward state — the stream data prefetcher's table
@@ -98,7 +100,9 @@ __all__ = [
 # Cache contents and occurrence counters switch to packed array buffers
 # (``state_packed``/``occurrences_state``): sampled runs serialize them once
 # per interval, so the wire form must pickle as a memcpy.
-CHECKPOINT_SCHEMA = 3
+# Schema 4: the BTB, iBTB and TAGE switch to the same packed buffers
+# (``state_packed``), replacing per-set entry tuples and per-table lists.
+CHECKPOINT_SCHEMA = 4
 
 
 class CheckpointError(Exception):
@@ -138,15 +142,7 @@ def warmup_config_subset(config: SimConfig) -> dict:
 
 def checkpoint_key(program_key: str, seed: int, config: SimConfig) -> str:
     """Content key of the warmed state a (program, seed, config) produces."""
-    return canonical_key(
-        {
-            "schema": CHECKPOINT_SCHEMA,
-            "fingerprint": package_fingerprint(),
-            "program": program_key,
-            "seed": seed,
-            "warmup": warmup_config_subset(config),
-        }
-    )
+    return checkpoint_keys(program_key, seed, config)[0]
 
 
 def interval_checkpoint_key(
@@ -165,17 +161,28 @@ def interval_checkpoint_key(
     to the same position leave different data-side state (the warming
     replay is the whole point), so they can never alias.
     """
-    return canonical_key(
-        {
-            "schema": CHECKPOINT_SCHEMA,
-            "fingerprint": package_fingerprint(),
-            "program": program_key,
-            "seed": seed,
-            "warmup": warmup_config_subset(config),
-            "interval_ff": ff_instructions,
-            "warm_ff": config.sampling.warm_fastforward,
-        }
-    )
+    return checkpoint_keys(program_key, seed, config, (ff_instructions,))[1][0]
+
+
+def checkpoint_keys(
+    program_key: str,
+    seed: int,
+    config: SimConfig,
+    ff_instructions: Sequence[int] = (),
+) -> tuple[str, list[str]]:
+    """:func:`checkpoint_key` and the :func:`interval_checkpoint_key` of
+    each fast-forward distance, deriving the config subset once."""
+    fields = {
+        "schema": CHECKPOINT_SCHEMA,
+        "fingerprint": package_fingerprint(),
+        "program": program_key,
+        "seed": seed,
+        "warmup": warmup_config_subset(config),
+    }
+    interval = {**fields, "warm_ff": config.sampling.warm_fastforward}
+    return canonical_key(fields), [
+        canonical_key({**interval, "interval_ff": ff}) for ff in ff_instructions
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +223,9 @@ def capture_warmup(sim: "Simulator") -> bytes:
         },
         "spec_pc": sim.frontend.spec_pc,
         "history": bpu.history.checkpoint(),
-        "tage": tage.state_dict(),
-        "btb": bpu.btb.state_dict(),
-        "ibtb": bpu.ibtb.state_dict(),
+        "tage": tage.state_packed(),
+        "btb": bpu.btb.state_packed(),
+        "ibtb": bpu.ibtb.state_packed(),
         "ras": {
             "stack": list(bpu.ras._stack),
             "overflows": bpu.ras.overflows,
@@ -286,9 +293,9 @@ def restore_warmup(sim: "Simulator", blob: bytes) -> None:
         # In place: TAGE holds the same GlobalHistory object, and the BTB is
         # aliased by registry-wired hooks — nothing is swapped, only loaded.
         bpu.history.restore(state["history"])
-        bpu.tage.load_state(tage_state)
-        bpu.btb.load_state(state["btb"])
-        bpu.ibtb.load_state(state["ibtb"])
+        bpu.tage.load_packed(tage_state)
+        bpu.btb.load_packed(state["btb"])
+        bpu.ibtb.load_packed(state["ibtb"])
         ras_state = state["ras"]
         bpu.ras._stack[:] = ras_state["stack"]
         bpu.ras.overflows = ras_state["overflows"]

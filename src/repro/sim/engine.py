@@ -50,7 +50,9 @@ stale entries automatically.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import functools
 import heapq
 import itertools
 import json
@@ -179,24 +181,40 @@ def _unit_checkpoint_keys(
     """
     if not spec.cacheable or not ckpt.checkpointing_enabled():
         return None, []
-    program_key = ProgramStore().key_for(spec.workload, spec.seed)
-    warmup_key = (
-        ckpt.checkpoint_key(program_key, spec.seed, spec.config)
-        if spec.config.functional_warmup_blocks > 0
-        else None
-    )
+    warmup_key, interval_keys = _spec_checkpoint_keys(spec)
     ff = plan.ff_instructions if plan is not None else 0
-    targets = [ff] if ff > 0 else []
-    if targets and earlier:
-        plans = sampling.plan_intervals(spec.config)
-        targets += sorted(
-            (p.ff_instructions for p in plans if 0 < p.ff_instructions < ff),
-            reverse=True,
+    if ff <= 0:
+        return warmup_key, []
+    own = bisect.bisect_left(interval_keys, (ff,))
+    nearest_first = interval_keys[own::-1] if earlier else interval_keys[own : own + 1]
+    return warmup_key, list(nearest_first)
+
+
+@functools.lru_cache(maxsize=64)
+def _spec_checkpoint_keys(
+    spec: RunSpec,
+) -> tuple[str | None, tuple[tuple[int, str], ...]]:
+    """Every checkpoint key of a cacheable spec, derived once per spec.
+
+    ``(warmup key or None, ((ff_instructions, interval key), ...))`` with
+    the interval keys in ascending fast-forward order, one per interval
+    that fast-forwards.  Hashing the program profile and the warmup config
+    subset happens here once, so a unit's keys cost a lookup however many
+    intervals precede it.
+    """
+    config = spec.config
+    targets = (
+        sorted(
+            {p.ff_instructions for p in sampling.plan_intervals(config)} - {0}
         )
-    return warmup_key, [
-        (t, ckpt.interval_checkpoint_key(program_key, spec.seed, spec.config, t))
-        for t in targets
-    ]
+        if config.sampling.enabled
+        else []
+    )
+    program_key = ProgramStore().key_for(spec.workload, spec.seed)
+    warmup_key, keys = ckpt.checkpoint_keys(program_key, spec.seed, config, targets)
+    if config.functional_warmup_blocks <= 0:
+        warmup_key = None
+    return warmup_key, tuple(zip(targets, keys))
 
 
 def _resolve_spec(spec: RunSpec):
@@ -316,6 +334,7 @@ def _execute(
         ff_blocks=ff_blocks,
         ff_instructions_walked=ff_walked,
     )
+    simulator.release()
     return outcome, time.perf_counter() - started, meta
 
 

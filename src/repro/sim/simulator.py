@@ -842,3 +842,15 @@ class Simulator:
             self.backend.retired_instructions - self._warmup_retired
         )
         return out
+
+    def release(self) -> None:
+        """Break the reference cycles of a finished simulator.
+
+        The L1I eviction hook and the technique's ``FrontendHooks`` hold
+        bound methods of this simulator, so without this its buffers are
+        freed only by a full cyclic collection.  After ``release`` plain
+        reference counting frees everything once the last outside reference
+        goes.  The simulator must not run again.
+        """
+        self.l1i.eviction_hook = None
+        self.prefetcher = self._fill_observer = None

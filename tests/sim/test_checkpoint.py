@@ -154,6 +154,21 @@ def test_restore_rejects_wrong_geometry():
         ckpt.restore_warmup(target, blob)
 
 
+def test_restore_rejects_previous_schema():
+    # A schema-3 blob (per-set BTB/iBTB entry tuples, TAGE lists) is a miss.
+    config = baseline_config(INSTRUCTIONS, SEED)
+    prof = get_profile("gcc")
+    program = program_store.program_for("gcc", SEED)
+    donor = Simulator(program, config, data_profile=prof.data)
+    donor.functional_warmup(config.functional_warmup_blocks)
+    state = pickle.loads(ckpt.capture_warmup(donor))
+    assert state["schema"] == ckpt.CHECKPOINT_SCHEMA == 4
+    state["schema"] = 3
+    target = Simulator(program, config, data_profile=prof.data)
+    with pytest.raises(ckpt.CheckpointError, match="schema"):
+        ckpt.restore_warmup(target, pickle.dumps(state))
+
+
 def test_capture_requires_warmed_restore_requires_pristine():
     config = baseline_config(INSTRUCTIONS, SEED)
     prof = get_profile("gcc")

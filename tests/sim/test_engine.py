@@ -6,14 +6,17 @@ disk cache in a per-test temporary directory.
 """
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import pytest
 
-from repro.sim import engine
+from repro.sim import engine, sampling
 from repro.sim.engine import BatchStats, ResultCache, RunSpec, run_batch, spec_for
 from repro.sim.metrics import SimResult
-from repro.sim.presets import baseline_config
+from repro.sim.presets import PRESET_BUILDERS, baseline_config
+from repro.sim.simulator import Simulator
 from repro.workloads import micro
 
 FAST = baseline_config(max_instructions=2_000).replace(
@@ -307,3 +310,38 @@ def test_cache_clear_accepts_class_filter(tmp_path, monkeypatch):
     assert (after.entries, after.programs, after.checkpoints) == (0, 0, 0)
     with pytest.raises(ValueError):
         cache.clear(("everything",))
+
+
+# shadow-btb wires the technique's FrontendHooks to a simulator method, udp
+# adds the backend retire hook, and a sampled unit restores and captures.
+@pytest.mark.parametrize("preset", ["baseline", "udp", "shadow-btb", "sampled"])
+def test_finished_simulator_is_freed_by_refcount(monkeypatch, preset):
+    """No reference cycle outlives a work unit: with the cyclic collector
+    off, the unit's simulator and the components that own its buffers are
+    gone as soon as ``_execute`` returns."""
+    simulators = []
+
+    class Tracked(Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            simulators.extend(
+                weakref.ref(part)
+                for part in (self, self.frontend, self.bpu, self.l1i, self.backend)
+            )
+
+    monkeypatch.setattr(engine, "Simulator", Tracked)
+    if preset == "sampled":
+        config = FAST.replace(max_instructions=4_000).with_sampling(2, 500, 250)
+        plan = sampling.plan_intervals(config)[1]
+    else:
+        config = PRESET_BUILDERS[preset](2_000)
+        plan = sampling.full_plan(config)
+    spec = spec_for("mediawiki", config)
+    gc.collect()
+    gc.disable()
+    try:
+        engine._execute(spec, plan)
+        assert simulators
+        assert [ref() for ref in simulators] == [None] * len(simulators)
+    finally:
+        gc.enable()

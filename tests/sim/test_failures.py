@@ -14,7 +14,7 @@ import pytest
 
 from repro.common import faults
 from repro.sim import checkpoint as ckpt
-from repro.sim import engine
+from repro.sim import engine, sampling
 from repro.sim.engine import BatchStats, run_batch, spec_for
 from repro.sim.presets import baseline_config
 from repro.workloads import store as program_store
@@ -282,18 +282,19 @@ def test_crash_with_parked_followers_releases_them(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _slow_execute(spec, plan):
-    if spec.label == "slow":
-        time.sleep(30)
-    return _REAL_EXECUTE(spec, plan)
-
-
-_REAL_EXECUTE = engine._execute
-
-
 def test_unit_timeout_serial_keep_going(monkeypatch):
-    monkeypatch.setattr(engine, "_execute", _slow_execute)
     specs = _specs(["ok", "slow"])
+    # The "ok" unit's real payload is simulated up front, outside the
+    # 0.2 s budget: only the "slow" unit's sleep meets the timer, so the
+    # outcome does not depend on host speed or the execution mode.
+    ok_payload = engine._execute(specs[0], sampling.full_plan(FAST))
+
+    def slow_execute(spec, plan):
+        if spec.label == "slow":
+            time.sleep(30)
+        return ok_payload
+
+    monkeypatch.setattr(engine, "_execute", slow_execute)
     stats = BatchStats()
     results = run_batch(
         specs,

@@ -15,6 +15,8 @@ mode must restore into either mode and still reproduce the oracle's
 from-scratch counters.
 """
 
+import collections
+
 import pytest
 
 from repro.backend.core import BackendCore
@@ -25,11 +27,13 @@ from repro.common import cc
 from repro.memory.cache import SetAssocCache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim import checkpoint as ckpt
+from repro.sim import engine, sampling
 from repro.sim.presets import PRESET_BUILDERS
 from repro.sim.profile import build_simulator
 from repro.sim.simulator import Simulator
 from repro.workloads import store as program_store
 from repro.workloads.profiles import get_profile
+from repro.workloads.store import ProgramStore
 
 N = 4_000
 SEED = 1
@@ -53,15 +57,14 @@ def _run_mode(workload: str, preset: str, n: int, mode: str):
 def _logical_state(sim) -> dict:
     """Predictor, cache and data-generator state in the checkpoint format,
     so SoA ndarrays and the object oracle's dicts compare directly (the
-    packed cache and occurrence buffers must be byte-equal)."""
+    packed TAGE, BTB, iBTB, cache and occurrence buffers must be
+    byte-equal)."""
     bpu = sim.bpu
-    tage = bpu.tage.state_dict()
     return {
         "history": bpu.history.checkpoint(),
-        "bimodal": bytes(tage.pop("base").table),
-        "tage": tage,
-        "btb": bpu.btb.state_dict(),
-        "ibtb": bpu.ibtb.state_dict(),
+        "tage": bpu.tage.state_packed(),
+        "btb": bpu.btb.state_packed(),
+        "ibtb": bpu.ibtb.state_packed(),
         "l1i": sim.l1i.state_packed(),
         "l1d": sim.hierarchy.l1d.state_packed(),
         "l2": sim.hierarchy.l2.state_packed(),
@@ -227,3 +230,46 @@ def test_warm_fastforward_checkpoints_cross_modes(
     scratch.run()
     assert restored.cycle == scratch.cycle
     assert restored.measured_counters() == scratch.measured_counters()
+
+
+def test_checkpoint_keys_are_derived_once_per_spec(monkeypatch):
+    """Every unit of a K=40 sampled spec gets its checkpoint keys from one
+    per-spec derivation: the program key and the warmup config subset are
+    computed once, not once per interval, and each unit's keys still equal
+    the per-interval key functions (own key first, then earlier ones)."""
+    monkeypatch.delenv("REPRO_NO_CHECKPOINT", raising=False)
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        ProgramStore, "key_for", counting("program", ProgramStore.key_for)
+    )
+    monkeypatch.setattr(
+        ckpt, "warmup_config_subset", counting("subset", ckpt.warmup_config_subset)
+    )
+    engine._spec_checkpoint_keys.cache_clear()
+    config = PRESET_BUILDERS["baseline"](80_000, SEED).with_sampling(40, 500, 250)
+    spec = engine.spec_for("gcc", config, SEED)
+    plans = sampling.plan_intervals(config)
+    units = [engine._unit_checkpoint_keys(spec, p, earlier=True) for p in plans]
+    heads = [engine._unit_checkpoint_keys(spec, p) for p in plans]
+    assert calls == {"program": 1, "subset": 1}
+
+    program_key = ProgramStore().key_for("gcc", SEED)
+    warmup_key = ckpt.checkpoint_key(program_key, SEED, config)
+    for plan, unit, head in zip(plans, units, heads):
+        expected = [
+            (p.ff_instructions, ckpt.interval_checkpoint_key(
+                program_key, SEED, config, p.ff_instructions
+            ))
+            for p in reversed(plans[: plan.index + 1])
+            if p.ff_instructions > 0
+        ]
+        assert unit == (warmup_key, expected)
+        assert head == (warmup_key, expected[:1])
